@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import load_sst_dataset
-from repro.forecast import load_emulator, posttrain_architecture, save_emulator
+from repro.forecast import posttrain_architecture
 from repro.nas import AgingEvolution, ArchitecturePerformanceModel, SurrogateEvaluator
 from repro.nas.space import StackedLSTMSpace, describe_architecture, hybrid_operations
+from repro.serve import load_bundle, save_bundle
 
 
 def main() -> None:
@@ -57,9 +58,8 @@ def main() -> None:
     print(f"  validation R^2: {emulator.validation_r2:.4f}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "hybrid-emulator.npz"
-        save_emulator(emulator, path)
-        loaded = load_emulator(path)
+        path = save_bundle(emulator, Path(tmp) / "hybrid-emulator.npz")
+        loaded = load_bundle(path)
         test = dataset.snapshots(np.asarray(dataset.test_indices)[:120])
         print(f"  reloaded-from-disk test R^2: {loaded.score(test):.4f}")
     print("Done.")

@@ -167,8 +167,7 @@ def _multifidelity_search(args, evaluator, resume_state) -> int:
         if resume_state is not None:
             # Explicit flags must agree with the checkpoint: overlay them
             # on the saved config and let the resume check refuse any
-            # difference ("resuming would continue a different
-            # experiment").
+            # difference ("refusing to resume a different experiment").
             config = dict(resume_state["scheduler"])
             if args.min_epochs is not None:
                 config["min_epochs"] = args.min_epochs
@@ -882,6 +881,7 @@ def pipeline_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro import obs
+    from repro.durable import npz_path
     from repro.pipeline import ContinuousPipeline, FeedConfig, \
         PipelineConfig
     from repro.serve.registry import ModelRegistry
@@ -917,9 +917,7 @@ def pipeline_main(argv: list[str]) -> int:
             epochs=args.epochs, batch_size=args.batch_size,
             learning_rate=args.learning_rate, lstm_units=args.units,
             seed=args.seed, forgetting=args.forgetting)
-        from pathlib import Path as _Path
-        state_path = _Path(args.state)
-        if state_path.exists() or state_path.with_suffix(".npz").exists():
+        if npz_path(args.state).exists():
             pipeline = ContinuousPipeline.resume(args.state, registry)
             print(f"resuming pipeline from {args.state} "
                   f"(batch {pipeline.state.next_batch})")

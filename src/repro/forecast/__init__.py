@@ -11,13 +11,10 @@ from repro.forecast.scaling import StandardScaler
 from repro.forecast.pipeline import PODCoefficientPipeline
 from repro.forecast.pod_lstm import PODLSTMEmulator
 from repro.forecast.posttraining import posttrain_architecture
-from repro.forecast.persistence import load_emulator, save_emulator
 
 __all__ = [
     "StandardScaler",
     "PODCoefficientPipeline",
     "PODLSTMEmulator",
     "posttrain_architecture",
-    "save_emulator",
-    "load_emulator",
 ]

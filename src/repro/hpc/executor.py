@@ -54,6 +54,8 @@ from dataclasses import asdict
 import numpy as np
 
 from repro import obs
+from repro.durable import atomic_write_json, check_envelope, \
+    check_identity, read_json
 from repro.hpc.cluster import ClusterConfig
 from repro.hpc.event_queue import EventQueue
 from repro.hpc.parallel import EvaluationBackend, TaskFeed, \
@@ -63,8 +65,7 @@ from repro.hpc.tracking import EvaluationRecord, SearchTracker
 from repro.nas.algorithms.base import SearchAlgorithm
 from repro.nas.algorithms.rl_nas import DistributedRL
 from repro.nas.checkpoint import CAMPAIGN_FORMAT, CHECKPOINT_VERSION, \
-    CheckpointPolicy, atomic_write_json, load_checkpoint, restore_search, \
-    search_state
+    CheckpointPolicy, restore_search, search_state
 from repro.nas.evaluation import Evaluator, evaluator_identity
 from repro.utils.rng import as_generator, as_seed_sequence, \
     generator_from_state, generator_state, sequence_from_state, \
@@ -87,60 +88,38 @@ def _resolve_backend(evaluator: Evaluator,
     return evaluation_backend(evaluator, workers), True
 
 
-def _evaluator_identity(evaluator: Evaluator) -> dict | None:
-    """What a campaign checkpoint records about the evaluation backend.
-
-    Evaluators that represent external state — e.g. a
-    :class:`~repro.nas.benchmark.BenchmarkEvaluator` bound to an archive
-    file by content digest — expose ``checkpoint_identity()``; a resume
-    must then present an evaluator with the same identity, so a campaign
-    can never silently continue against a different benchmark. Evaluators
-    without the hook (surrogate, real training) record ``None`` and skip
-    the check, exactly as all pre-existing checkpoints do.
-
-    (Shared with the multi-fidelity campaign checkpoints — the logic
-    lives in :func:`repro.nas.evaluation.evaluator_identity`.)
-    """
-    return evaluator_identity(evaluator)
-
-
 def _check_resume_state(resume_state: dict | None, mode: str,
                         partition: ThetaPartition,
                         uses_backend: bool,
                         evaluator: Evaluator) -> dict | None:
+    """Refuse a resume that would continue a different campaign.
+
+    Evaluators that represent external state — e.g. a
+    :class:`~repro.nas.benchmark.BenchmarkEvaluator` bound to an archive
+    file by content digest — record an identity
+    (:func:`repro.nas.evaluation.evaluator_identity`) that a resume must
+    match. Evaluators without one (surrogate, real training) record
+    ``None`` and skip that check, exactly as all pre-existing checkpoints
+    do.
+    """
     if resume_state is None:
         return None
-    if resume_state.get("format") != CAMPAIGN_FORMAT:
-        raise ValueError("resume_state is not a campaign checkpoint")
-    if int(resume_state.get("version", 0)) > CHECKPOINT_VERSION:
-        raise ValueError(
-            f"campaign checkpoint version {resume_state.get('version')} "
-            f"is newer than supported ({CHECKPOINT_VERSION})")
-    if resume_state.get("mode") != mode:
-        raise ValueError(
-            f"checkpoint was written by a {resume_state.get('mode')!r} "
-            f"campaign, cannot resume as {mode!r}")
+    source = "resume_state"
+    check_envelope(resume_state, source, fmt=CAMPAIGN_FORMAT,
+                   versions=(CHECKPOINT_VERSION,),
+                   describe="a campaign checkpoint")
+    check_identity(source, "mode", resume_state.get("mode"), mode)
     saved = resume_state["partition"]
-    if int(saved["n_nodes"]) != partition.n_nodes or \
-            float(saved["wall_seconds"]) != partition.wall_seconds:
-        raise ValueError(
-            f"checkpoint partition ({saved['n_nodes']} nodes, "
-            f"{saved['wall_seconds']}s) does not match "
-            f"({partition.n_nodes} nodes, {partition.wall_seconds}s)")
-    if bool(resume_state.get("uses_backend")) != uses_backend:
-        raise ValueError(
-            "checkpoint evaluation mode (backend vs in-loop) does not "
-            "match this invocation; resume with the same --workers choice")
-    saved_identity = resume_state.get("evaluator")
-    if saved_identity is not None:
-        identity = _evaluator_identity(evaluator)
-        if identity != saved_identity:
-            raise ValueError(
-                f"checkpoint was written against evaluator "
-                f"{saved_identity!r} but this invocation provides "
-                f"{identity!r}; resuming would continue a different "
-                f"experiment (for benchmark campaigns: same archive, "
-                f"same epochs, same surrogate mode)")
+    check_identity(source, "partition (nodes, wall seconds)",
+                   (int(saved["n_nodes"]), float(saved["wall_seconds"])),
+                   (partition.n_nodes, partition.wall_seconds))
+    check_identity(source, "evaluation mode (--workers)",
+                   "backend" if resume_state.get("uses_backend")
+                   else "in-loop",
+                   "backend" if uses_backend else "in-loop")
+    if resume_state.get("evaluator") is not None:
+        check_identity(source, "evaluator", resume_state["evaluator"],
+                       evaluator_identity(evaluator))
     return resume_state
 
 
@@ -353,7 +332,7 @@ def run_asynchronous_search(algorithm: SearchAlgorithm, evaluator: Evaluator,
                           "wall_seconds": partition.wall_seconds},
             "cluster": asdict(cluster),
             "uses_backend": feed is not None,
-            "evaluator": _evaluator_identity(evaluator),
+            "evaluator": evaluator_identity(evaluator),
             "task_root": (sequence_state(task_root)
                           if task_root is not None else None),
             "feed": feed.state_dict() if feed is not None else None,
@@ -468,7 +447,7 @@ def run_synchronous_rl_search(algorithm: DistributedRL, evaluator: Evaluator,
                           "wall_seconds": partition.wall_seconds},
             "cluster": asdict(cluster),
             "uses_backend": feed is not None,
-            "evaluator": _evaluator_identity(evaluator),
+            "evaluator": evaluator_identity(evaluator),
             "task_root": (sequence_state(task_root)
                           if task_root is not None else None),
             "feed": feed.state_dict() if feed is not None else None,
@@ -629,11 +608,10 @@ def resume_search(source, space, evaluator: Evaluator, *,
     serial backend on resume (bitwise identical to any pool size); one
     written with in-loop evaluation must be resumed without ``workers``.
     """
-    state = source if isinstance(source, dict) else load_checkpoint(source)
-    if state.get("format") != CAMPAIGN_FORMAT:
-        raise ValueError(
-            f"{source!r} is not a campaign checkpoint (use load_search "
-            f"for algorithm-only checkpoints)")
+    state = source if isinstance(source, dict) else read_json(source)
+    check_envelope(state, "resume_state" if state is source else source,
+                   fmt=CAMPAIGN_FORMAT, versions=(CHECKPOINT_VERSION,),
+                   describe="a campaign checkpoint")
     algorithm = restore_search(state["algorithm"], space)
     partition = ThetaPartition(
         n_nodes=int(state["partition"]["n_nodes"]),

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro import obs
+from repro.durable import check_identity
 from repro.nas.algorithms.base import SearchAlgorithm
 from repro.nas.space.search_space import Architecture
 from repro.utils.validation import check_positive_int
@@ -180,12 +181,8 @@ class GeneticSearch(SearchAlgorithm):
                 "pending": [list(arch) for arch in self._pending]}
 
     def _load_extra(self, state: dict) -> None:
-        config = state["config"]
-        if config != self.config():
-            raise ValueError(
-                f"checkpointed GA config {config} does not match this "
-                f"searcher's {self.config()}: resuming would continue a "
-                f"different experiment")
+        check_identity("GeneticSearch state", "GA config", state["config"],
+                       self.config())
         self.generation = int(state["generation"])
         self.n_immigrants = int(state["n_immigrants"])
         self.population = [(self.space.validate(arch), float(reward))

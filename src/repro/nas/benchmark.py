@@ -10,9 +10,8 @@ that cost with a precomputed benchmark:
   :class:`~repro.nas.surrogate.ArchitecturePerformanceModel` (or any
   :class:`~repro.nas.evaluation.Evaluator`, e.g. real short trainings)
   and writes a versioned, pickle-free ``.npz`` artifact of
-  ``(architecture encoding -> reward, cost, training curve)`` records —
-  sharing the header/atomic-write machinery of
-  :mod:`repro.serve.artifact`;
+  ``(architecture encoding -> reward, cost, training curve)`` records
+  through :mod:`repro.durable` (atomic write, versioned header);
 * :class:`BenchmarkEvaluator` answers asks from the table, falling back
   to a surrogate fitted on the archive (ridge or k-NN over the one-hot
   architecture feature vector) for off-table points — so any searcher
@@ -52,12 +51,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.durable import atomic_write_npz, read_npz
 from repro.nas.evaluation import EvaluationResult, Evaluator
 from repro.nas.space.ops import Operation
 from repro.nas.space.search_space import Architecture, StackedLSTMSpace
 from repro.nas.surrogate import ArchitecturePerformanceModel
-from repro.serve.artifact import load_npz_artifact, read_npz_artifact_header, \
-    write_npz_artifact
 from repro.utils.rng import as_generator, as_seed_sequence, child_sequence
 
 __all__ = ["ARCHIVE_FORMAT", "ARCHIVE_VERSION", "SWEEP_FORMAT",
@@ -77,7 +75,7 @@ class CurveUnavailableError(ValueError):
 ARCHIVE_FORMAT = "repro-nas-benchmark"
 
 #: Current archive schema version; loaders accept exactly what they can
-#: decode (see repro.serve.artifact).
+#: decode (see repro.durable.check_envelope).
 ARCHIVE_VERSION = 1
 
 #: Reserved array name carrying the JSON header inside the ``.npz``.
@@ -307,27 +305,27 @@ def build_archive(space: StackedLSTMSpace, model, path, *,
     }
     arrays = {"arch": encodings, "reward": rewards, "cost": costs,
               "curve": curves}
-    target = write_npz_artifact(path, header, arrays, key=_HEADER_KEY)
+    target = atomic_write_npz(path, header, arrays, key=_HEADER_KEY)
     if obs.enabled():
         obs.counter_add("nas/benchmark/records_built", n)
     return target
 
 
+def _read(path, arrays: bool = True) -> tuple[dict, dict]:
+    return read_npz(path, key=_HEADER_KEY, fmt=ARCHIVE_FORMAT,
+                    versions=(ARCHIVE_VERSION,), describe=_DESCRIBE,
+                    arrays=arrays)
+
+
 def read_archive_header(path) -> dict:
     """The validated JSON header of an archive, without loading records."""
-    from repro.nn.serialization import _npz_path
-    with np.load(_npz_path(path)) as archive:
-        return read_npz_artifact_header(
-            archive, path, key=_HEADER_KEY, expected_format=ARCHIVE_FORMAT,
-            supported_versions=(ARCHIVE_VERSION,), describe=_DESCRIBE)
+    return _read(path, arrays=False)[0]
 
 
 def load_archive(path) -> ArchitectureArchive:
     """Load an archive written by :func:`build_archive`, verifying the
     header (format/version) and the content digest (corruption check)."""
-    header, arrays = load_npz_artifact(
-        path, key=_HEADER_KEY, expected_format=ARCHIVE_FORMAT,
-        supported_versions=(ARCHIVE_VERSION,), describe=_DESCRIBE)
+    header, arrays = _read(path)
     missing = {"arch", "reward", "cost", "curve"} - set(arrays)
     if missing:
         raise ValueError(f"{path}: archive lacks arrays {sorted(missing)}")

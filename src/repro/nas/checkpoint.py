@@ -21,10 +21,10 @@ RNG capture existed) are still loadable and fall back to
 the uninterrupted trajectory.
 
 Atomicity: :func:`save_search` (and every campaign checkpoint the
-executors write) goes through :func:`atomic_write_json` — serialize to a
-``.tmp`` sibling, ``fsync``, then ``os.replace`` over the target. A kill
-at any instant leaves either the previous checkpoint or the new one,
-never a torn file.
+executors write) goes through :func:`repro.durable.atomic_write_json` —
+serialize to a ``.tmp`` sibling, ``fsync``, then an atomic rename over
+the target. A kill at any instant leaves either the previous checkpoint
+or the new one, never a torn file.
 
 All four algorithms are covered: :class:`AgingEvolution`,
 :class:`RandomSearch`, and :class:`DistributedRL` (whose state includes
@@ -34,13 +34,12 @@ baseline, and the synchronized round counter).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.durable import atomic_write_json, check_envelope, read_json
 from repro.nas.algorithms.aging_evolution import AgingEvolution
 from repro.nas.algorithms.genetic import GeneticSearch
 from repro.nas.algorithms.ppo import PPOConfig
@@ -49,7 +48,7 @@ from repro.nas.algorithms.rl_nas import DistributedRL
 from repro.nas.space.search_space import StackedLSTMSpace
 
 __all__ = ["SEARCH_FORMAT", "CAMPAIGN_FORMAT", "CHECKPOINT_VERSION",
-           "CheckpointPolicy", "atomic_write_json", "search_state",
+           "CheckpointPolicy", "search_state",
            "save_search", "restore_search", "load_search",
            "load_checkpoint"]
 
@@ -88,24 +87,6 @@ class CheckpointPolicy:
         if self.every_seconds is not None and self.every_seconds <= 0:
             raise ValueError(
                 f"every_seconds must be positive, got {self.every_seconds}")
-
-
-def atomic_write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON such that a crash never corrupts ``path``.
-
-    The bytes land in a ``.tmp`` sibling first and are fsynced before an
-    atomic ``os.replace`` publishes them — the last good checkpoint is
-    loadable at every instant. ``allow_nan=False`` rejects any NaN or
-    infinity before a single byte is written.
-    """
-    target = Path(path)
-    text = json.dumps(payload, indent=1, allow_nan=False, sort_keys=True)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, target)
 
 
 def search_state(search) -> dict:
@@ -159,16 +140,14 @@ def restore_search(state: dict, space: StackedLSTMSpace, *,
     so the generator is reseeded from ``seed_on_resume`` (the old,
     non-reproducible behaviour, kept so existing files remain loadable).
     """
-    version = int(state.get("version", 1))
-    if version > CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {version} is newer than supported "
-            f"({CHECKPOINT_VERSION})")
-    declared = state.get("format")
-    if declared not in (None, SEARCH_FORMAT):
-        raise ValueError(f"not a search checkpoint (format={declared!r})")
+    # Legacy v1 files predate the envelope: no format/version keys.
+    legacy = "format" not in state and "version" not in state
+    if not legacy:
+        check_envelope(state, "checkpoint", fmt=SEARCH_FORMAT,
+                       versions=(CHECKPOINT_VERSION,),
+                       describe="a search checkpoint")
     search = _build_algorithm(state, space)
-    if version >= 2:
+    if not legacy:
         search.load_state_dict(state)
         return search
     # -- legacy v1 layout (reseed-on-resume) ------------------------------
@@ -187,8 +166,9 @@ def restore_search(state: dict, space: StackedLSTMSpace, *,
 
 
 def load_checkpoint(path) -> dict:
-    """Read any checkpoint file (search or campaign) as a raw dict."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read any checkpoint file (search or campaign) as a raw dict; an
+    undecodable file raises ``ValueError`` naming it."""
+    return read_json(path)
 
 
 def load_search(path, space: StackedLSTMSpace, *, seed_on_resume=None):

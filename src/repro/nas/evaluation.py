@@ -273,7 +273,7 @@ class PartialTrainingEvaluator(RealTrainingEvaluator):
 
     :meth:`evaluate_partial` trains an architecture to an epoch budget
     and returns, in the result metadata, a *continuation state* — the
-    fitted-state vocabulary of :mod:`repro.forecast.persistence`
+    fitted-state vocabulary of :mod:`repro.serve.bundle`
     (:func:`~repro.nn.serialization.network_spec` + weight arrays)
     extended with the Adam moment estimates and the exact RNG
     bit-position. Feeding that state back with a higher budget continues

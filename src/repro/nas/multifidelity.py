@@ -32,7 +32,7 @@ position-keyed and order-stable). Every evaluation is therefore a pure
 function of ``(architecture, stream, rung epochs)``: results are bitwise
 identical across serial and pooled backends at any worker count, and a
 campaign killed mid-rung resumes — from the JSON checkpoint this module
-writes through :func:`repro.nas.checkpoint.atomic_write_json` — to the
+writes through :func:`repro.durable.atomic_write_json` — to the
 exact trajectory of an uninterrupted run (tests/test_multifidelity.py).
 
 Reusing one lifetime stream per candidate mirrors partial-training
@@ -54,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.nas.checkpoint import atomic_write_json, load_checkpoint
+from repro.durable import atomic_write_json, check_envelope, \
+    check_identity, read_json
 from repro.nas.evaluation import Evaluator, evaluator_identity
 from repro.utils.rng import as_seed_sequence, child_sequence
 
@@ -220,35 +221,22 @@ def _key(bracket: int, rung: int, slot: int) -> str:
     return f"{bracket}:{rung}:{slot}"
 
 
+def _check_envelope(state: dict, source) -> None:
+    check_envelope(state, source, fmt=MULTIFIDELITY_FORMAT,
+                   versions=(MULTIFIDELITY_VERSION,),
+                   describe="a multi-fidelity campaign checkpoint")
+
+
 def _check_resume(state: dict, scheduler, evaluator: Evaluator,
                   seed: int) -> None:
-    if state.get("format") != MULTIFIDELITY_FORMAT:
-        raise ValueError("resume state is not a multi-fidelity campaign "
-                         "checkpoint")
-    if int(state.get("version", 0)) > MULTIFIDELITY_VERSION:
-        raise ValueError(
-            f"checkpoint version {state.get('version')} is newer than "
-            f"supported ({MULTIFIDELITY_VERSION})")
-    saved = state["scheduler"]
-    if saved != scheduler.config():
-        raise ValueError(
-            f"checkpointed scheduler {saved} does not match this "
-            f"invocation's {scheduler.config()}: resuming would continue "
-            f"a different experiment (same --eta/--min-epochs/--brackets "
-            f"required)")
-    if int(state["seed"]) != int(seed):
-        raise ValueError(
-            f"checkpoint was written with seed {state['seed']}, not "
-            f"{seed}: resuming would continue a different experiment")
-    saved_identity = state.get("evaluator")
-    if saved_identity is not None:
-        identity = evaluator_identity(evaluator)
-        if identity != saved_identity:
-            raise ValueError(
-                f"checkpoint was written against evaluator "
-                f"{saved_identity!r} but this invocation provides "
-                f"{identity!r}; resuming would continue a different "
-                f"experiment")
+    source = "resume_state"
+    _check_envelope(state, source)
+    check_identity(source, "scheduler (--eta/--min-epochs/--brackets)",
+                   state["scheduler"], scheduler.config())
+    check_identity(source, "seed", int(state["seed"]), int(seed))
+    if state.get("evaluator") is not None:
+        check_identity(source, "evaluator", state["evaluator"],
+                       evaluator_identity(evaluator))
 
 
 def run_multifidelity_campaign(scheduler, evaluator: Evaluator, *,
@@ -499,10 +487,8 @@ def resume_multifidelity_campaign(source, evaluator: Evaluator, *,
     ``--eta``/``--min-epochs`` refuse with a "different experiment"
     diagnosis, exactly like the executor campaign checkpoints).
     """
-    state = source if isinstance(source, dict) else load_checkpoint(source)
-    if state.get("format") != MULTIFIDELITY_FORMAT:
-        raise ValueError(f"{source}: not a multi-fidelity campaign "
-                         f"checkpoint")
+    state = source if isinstance(source, dict) else read_json(source)
+    _check_envelope(state, "resume_state" if state is source else source)
     if scheduler is None:
         scheduler = scheduler_from_config(state["scheduler"])
     return run_multifidelity_campaign(

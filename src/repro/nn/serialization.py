@@ -7,11 +7,9 @@ registry of (class name -> constructor kwargs) pairs.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
+from repro.durable import atomic_write_npz, read_npz
 from repro.nn.layers import (
     ActivationLayer,
     AddLayer,
@@ -26,21 +24,6 @@ from repro.nn.model import Network
 __all__ = ["save_network", "load_network", "layer_config",
            "network_spec", "network_from_spec"]
 
-
-def _npz_path(path) -> Path:
-    """The path the archive actually lives at.
-
-    ``np.savez`` silently appends ``.npz`` when the name lacks it, so a
-    round-trip through the *same* user-supplied path used to fail:
-    ``save_network(net, "model")`` wrote ``model.npz`` while
-    ``load_network("model")`` looked for ``model``. Both sides now
-    normalize to the suffixed name, so whatever path ``save_network``
-    accepted, ``load_network`` accepts too.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    return path
 
 _LAYER_CLASSES = {cls.__name__: cls for cls in
                   (DenseLayer, LSTMLayer, GRULayer, SimpleRNNLayer,
@@ -103,7 +86,8 @@ def network_from_spec(spec: dict, weights: list[np.ndarray], *,
 
 
 def save_network(network: Network, path) -> None:
-    """Write the network's structure and weights to ``path`` (.npz).
+    """Atomically write the network's structure and weights to ``path``
+    (.npz suffix normalized by :func:`repro.durable.npz_path`).
 
     The header carries ``layout: gate-stacked-v1`` — the recurrent
     weight convention (``wx``/``wh`` with gate blocks stacked along the
@@ -116,20 +100,21 @@ def save_network(network: Network, path) -> None:
     header = {"format": "repro-network-v1",
               "layout": "gate-stacked-v1", **network_spec(network)}
     arrays = {f"w{i}": w for i, w in enumerate(network.get_weights())}
-    np.savez(_npz_path(path), __spec__=np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8), **arrays)
+    atomic_write_npz(path, header, arrays, key="__spec__")
 
 
 def load_network(path) -> Network:
-    """Rebuild a network saved by :func:`save_network`."""
-    with np.load(_npz_path(path)) as archive:
-        header = json.loads(bytes(archive["__spec__"].tobytes()).decode("utf-8"))
-        if header.get("format") != "repro-network-v1":
-            raise ValueError(f"{path}: not a repro network archive")
-        layout = header.get("layout", "gate-stacked-v1")
-        if layout != "gate-stacked-v1":
-            raise ValueError(f"{path}: unsupported weight layout "
-                             f"{layout!r} (expected gate-stacked-v1)")
-        weights = [archive[f"w{i}"]
-                   for i in range(len(archive.files) - 1)]
+    """Rebuild a network saved by :func:`save_network`.
+
+    Network headers carry no ``version`` key (the layout tag versions the
+    weights instead), so the envelope check admits exactly that.
+    """
+    header, arrays = read_npz(path, key="__spec__", fmt="repro-network-v1",
+                              versions=(None,),
+                              describe="a repro network archive")
+    layout = header.get("layout", "gate-stacked-v1")
+    if layout != "gate-stacked-v1":
+        raise ValueError(f"{path}: unsupported weight layout "
+                         f"{layout!r} (expected gate-stacked-v1)")
+    weights = [arrays[f"w{i}"] for i in range(len(arrays))]
     return network_from_spec(header, weights, source=str(path))

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.manual_lstm import build_manual_lstm
+from repro.durable import check_identity, npz_path
 from repro.forecast.pod_lstm import PODLSTMEmulator
 from repro.nn.metrics import rmse
 from repro.nn.training import Trainer
@@ -143,7 +144,7 @@ def emulator_digest(emulator: PODLSTMEmulator) -> str:
 
     Hashes the pipeline's fitted state (config JSON + arrays, sorted by
     name) and the network weights — *content*, not serialized file
-    bytes, because ``np.savez`` embeds archive timestamps that differ
+    bytes, because ``.npz`` archives embed member timestamps that differ
     between otherwise identical bundles. Two emulators with equal
     digests forecast identically.
     """
@@ -207,10 +208,11 @@ class ContinuousPipeline:
     ----------
     state_path:
         Where the durable state artifact lives (``.npz`` suffix
-        normalized). If it exists, the pipeline **resumes** from it —
-        and refuses configs that contradict the persisted ones, since a
-        changed stream or protocol would silently break the replay
-        contract.
+        normalized by :func:`repro.durable.npz_path`, so ``pipe.state``
+        lives at ``pipe.state.npz``). If it exists, the pipeline
+        **resumes** from it — and refuses configs that contradict the
+        persisted ones, since a changed stream or protocol would
+        silently break the replay contract.
     registry:
         The :class:`~repro.serve.registry.ModelRegistry` receiving
         published candidates and promotions.
@@ -226,22 +228,15 @@ class ContinuousPipeline:
         self.registry = registry
         feed_config = feed_config or FeedConfig()
         config = config or PipelineConfig()
-        existing = self._existing_state_path()
-        if existing is not None:
-            state = load_state(existing)
-            persisted_feed = FeedConfig.from_json(state.feed_config)
-            persisted_config = PipelineConfig.from_json(
-                state.pipeline_config)
-            if persisted_feed != feed_config:
-                raise ValueError(
-                    f"state file {existing} was written for feed "
-                    f"{persisted_feed}, not {feed_config}; refusing to "
-                    f"resume a different stream")
-            if persisted_config != config:
-                raise ValueError(
-                    f"state file {existing} was written for pipeline "
-                    f"config {persisted_config}, not {config}; refusing "
-                    f"to resume a different protocol")
+        source = npz_path(self.state_path)
+        if source.exists():
+            state = load_state(source)
+            check_identity(source, "feed",
+                           FeedConfig.from_json(state.feed_config),
+                           feed_config)
+            check_identity(source, "pipeline config",
+                           PipelineConfig.from_json(state.pipeline_config),
+                           config)
             self.state = state
         else:
             self.state = PipelineState(
@@ -259,23 +254,14 @@ class ContinuousPipeline:
                ) -> "ContinuousPipeline":
         """Reattach to an existing state file, taking both the feed and
         the pipeline config from it (the ``repro pipeline`` CLI path)."""
-        path = Path(state_path)
-        existing = path if path.exists() else path.with_suffix(".npz")
-        if not existing.exists():
+        if not npz_path(state_path).exists():
             raise FileNotFoundError(
                 f"no pipeline state at {state_path} (run the pipeline "
                 f"first)")
-        state = load_state(existing)
-        return cls(path, registry,
+        state = load_state(state_path)
+        return cls(state_path, registry,
                    feed_config=FeedConfig.from_json(state.feed_config),
                    config=PipelineConfig.from_json(state.pipeline_config))
-
-    def _existing_state_path(self) -> Path | None:
-        for candidate in (self.state_path,
-                          self.state_path.with_suffix(".npz")):
-            if candidate.exists():
-                return candidate
-        return None
 
     # ------------------------------------------------------------------
     # The loop

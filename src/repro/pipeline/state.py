@@ -1,9 +1,8 @@
 """Durable pipeline state: one atomic ``.npz`` artifact per pipeline.
 
 The continuous-learning service persists its **complete** progress after
-every ingested batch through the shared artifact layer
-(:mod:`repro.serve.artifact`): the stream cursor, the counters, every
-typed promotion decision made so far, and the exact
+every ingested batch through :mod:`repro.durable`: the stream cursor,
+the counters, every typed promotion decision made so far, and the exact
 :class:`~repro.pod.IncrementalPOD` factorization (float64, bitwise).
 Because the snapshot feed is replayable and the POD state round-trips
 exactly, a pipeline killed at any batch boundary and restarted from this
@@ -15,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.durable import atomic_write_npz, read_npz
 from repro.pod.incremental import IncrementalPOD
-from repro.serve.artifact import load_npz_artifact, write_npz_artifact
 
 __all__ = ["STATE_FORMAT", "STATE_VERSION", "PromotionDecision",
            "PipelineState", "save_state", "load_state"]
@@ -87,8 +86,8 @@ class PipelineState:
 
 def save_state(path, state: PipelineState):
     """Atomically persist ``state`` (tmp + fsync + rename, via
-    :func:`repro.serve.artifact.write_npz_artifact`). Returns the path
-    the artifact lives at."""
+    :func:`repro.durable.atomic_write_npz`). Returns the path the
+    artifact lives at (:func:`repro.durable.npz_path` of ``path``)."""
     pod_config, pod_arrays = state.pod.state()
     header = {
         "format": STATE_FORMAT,
@@ -104,15 +103,14 @@ def save_state(path, state: PipelineState):
         "decisions": [d.as_json() for d in state.decisions],
         "pod": pod_config,
     }
-    return write_npz_artifact(path, header, pod_arrays, key=_HEADER_KEY)
+    return atomic_write_npz(path, header, pod_arrays, key=_HEADER_KEY)
 
 
 def load_state(path) -> PipelineState:
     """Load a :func:`save_state` artifact back, POD arrays bitwise."""
-    header, arrays = load_npz_artifact(
-        path, key=_HEADER_KEY, expected_format=STATE_FORMAT,
-        supported_versions=(STATE_VERSION,),
-        describe="a pipeline state artifact")
+    header, arrays = read_npz(path, key=_HEADER_KEY, fmt=STATE_FORMAT,
+                              versions=(STATE_VERSION,),
+                              describe="a pipeline state artifact")
     return PipelineState(
         feed_config=header["feed_config"],
         pipeline_config=header["pipeline_config"],

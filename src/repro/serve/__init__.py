@@ -29,9 +29,6 @@ CLI: ``python -m repro.cli serve`` (see ``--help``; ``--router``
 starts the multi-process tier).
 """
 
-from repro.serve.artifact import (check_artifact_header, load_npz_artifact,
-                                  read_npz_artifact_header,
-                                  write_npz_artifact)
 from repro.serve.bundle import (BUNDLE_FORMAT, BUNDLE_VERSION, load_bundle,
                                 read_bundle_header, save_bundle)
 from repro.serve.cache import ForecastCache, window_digest
@@ -55,8 +52,6 @@ from repro.serve.worker import WorkerConfig
 __all__ = [
     "BUNDLE_FORMAT", "BUNDLE_VERSION",
     "save_bundle", "load_bundle", "read_bundle_header",
-    "write_npz_artifact", "read_npz_artifact_header",
-    "check_artifact_header", "load_npz_artifact",
     "ModelRegistry",
     "ForecastCache", "window_digest",
     "ForecastEngine", "EngineConfig", "EngineOverloaded", "EngineStopped",

@@ -28,12 +28,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
+from repro.durable import atomic_write_npz, read_npz
 from repro.forecast.pipeline import PODCoefficientPipeline
 from repro.forecast.pod_lstm import PODLSTMEmulator
-from repro.nn.serialization import _npz_path, network_from_spec, network_spec
-from repro.serve.artifact import read_npz_artifact_header, write_npz_artifact
+from repro.nn.serialization import network_from_spec, network_spec
 
 __all__ = ["BUNDLE_FORMAT", "BUNDLE_VERSION", "save_bundle", "load_bundle",
            "read_bundle_header"]
@@ -56,7 +54,7 @@ def save_bundle(emulator: PODLSTMEmulator, path, *,
     ``metadata`` (JSON-compatible) is stored verbatim in the header —
     provenance such as the search algorithm, seed, or training R^2.
     Returns the path the archive actually lives at (``.npz`` suffix
-    normalized exactly like :func:`repro.nn.serialization.save_network`).
+    normalized by :func:`repro.durable.npz_path`). The write is atomic.
     """
     network = emulator._require_fit()
     pipeline_config, pipeline_arrays = emulator.pipeline.fitted_state()
@@ -67,32 +65,28 @@ def save_bundle(emulator: PODLSTMEmulator, path, *,
               "metadata": dict(metadata or {})}
     arrays = {f"net_w{i}": w for i, w in enumerate(network.get_weights())}
     arrays.update(pipeline_arrays)
-    return write_npz_artifact(path, header, arrays, key=_HEADER_KEY)
+    return atomic_write_npz(path, header, arrays, key=_HEADER_KEY)
 
 
-def _decode_header(archive, path) -> dict:
-    return read_npz_artifact_header(
-        archive, path, key=_HEADER_KEY, expected_format=BUNDLE_FORMAT,
-        supported_versions=(BUNDLE_VERSION,),
-        describe="an emulator bundle")
+def _read(path, arrays: bool = True) -> tuple[dict, dict]:
+    return read_npz(path, key=_HEADER_KEY, fmt=BUNDLE_FORMAT,
+                    versions=(BUNDLE_VERSION,),
+                    describe="an emulator bundle", arrays=arrays)
 
 
 def read_bundle_header(path) -> dict:
     """The validated JSON header of a bundle, without rebuilding the
     emulator (registry listings, provenance inspection)."""
-    with np.load(_npz_path(path)) as archive:
-        return _decode_header(archive, path)
+    return _read(path, arrays=False)[0]
 
 
 def load_bundle(path) -> PODLSTMEmulator:
     """Rebuild the emulator stored by :func:`save_bundle`."""
-    with np.load(_npz_path(path)) as archive:
-        header = _decode_header(archive, path)
-        n_weights = sum(1 for name in archive.files
-                        if name.startswith("net_w"))
-        weights = [archive[f"net_w{i}"] for i in range(n_weights)]
-        pipeline = PODCoefficientPipeline.from_fitted_state(
-            header["pipeline"], archive)
+    header, arrays = _read(path)
+    n_weights = sum(1 for name in arrays if name.startswith("net_w"))
+    weights = [arrays[f"net_w{i}"] for i in range(n_weights)]
+    pipeline = PODCoefficientPipeline.from_fitted_state(header["pipeline"],
+                                                        arrays)
     network = network_from_spec(header["network"], weights,
                                 source=str(path))
     return PODLSTMEmulator.from_artifacts(

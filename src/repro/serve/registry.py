@@ -11,24 +11,27 @@ Directory layout (docs/SERVING.md)::
 Invariants both the serving tier (:mod:`repro.serve.router`) and the
 continuous-learning pipeline (:mod:`repro.pipeline`) rely on:
 
-* **Publication is atomic.** ``publish`` writes the bundle to a
-  temporary sibling first and ``os.replace``s it into place; a reader
-  (or a worker process loading mid-publish) always observes either the
+* **Publication is atomic.** ``publish`` writes the bundle straight to
+  its version path through :func:`repro.durable.atomic_write_npz`: the
+  bytes land in a ``<name>.npz.tmp`` sibling, which ``versions()`` never
+  lists, and one atomic rename moves them into place. A reader (or a
+  worker process loading mid-publish) always observes either the
   previous complete bundle or the new one, never a torn ``.npz``.
   Re-publishing an existing name is idempotent replacement — the
   pipeline exploits this when a crash lands between publish and its own
   state save: the retrain is replayed and republishes the identical
   bundle under the identical name.
 * **Promotion is atomic and ordered after publication.** ``promote``
-  rewrites ``ACTIVE`` through the same tmp+fsync+rename discipline as
-  :mod:`repro.nas.checkpoint` and refuses names without a published
-  bundle, so ``ACTIVE`` can never dangle: a crash at any instant leaves
-  it pointing at a complete, loadable bundle.
+  rewrites ``ACTIVE`` through :func:`repro.durable.atomic_write_text`
+  and refuses names without a published bundle, so ``ACTIVE`` can never
+  dangle: a crash at any instant leaves it pointing at a complete,
+  loadable bundle.
 * **The audit trail is append-only and advisory.** Every publish and
   promote appends one JSON line to ``AUDIT.jsonl`` (action, version,
   previous active pointer, wall-clock time, optional note). It is a
-  *record*, not a source of truth — readers tolerate a torn final line
-  (a crash mid-append), and no registry operation ever consults it.
+  *record*, not a source of truth — readers skip a torn line (a crash
+  mid-append; :func:`repro.durable.append_jsonl` starts the next entry
+  on a fresh line), and no registry operation ever consults it.
   Deterministic replay guarantees therefore never include audit bytes;
   the pipeline's promotion-sequence identity is defined over its own
   typed decision records and the bundle contents.
@@ -37,11 +40,11 @@ continuous-learning pipeline (:mod:`repro.pipeline`) rely on:
 from __future__ import annotations
 
 import json
-import os
 import re
 import time
 from pathlib import Path
 
+from repro.durable import append_jsonl, atomic_write_text
 from repro.forecast.pod_lstm import PODLSTMEmulator
 from repro.serve.bundle import load_bundle, read_bundle_header, save_bundle
 
@@ -99,15 +102,13 @@ class ModelRegistry:
                 activate: bool = False, note: str | None = None) -> Path:
         """Serialize ``emulator`` as version ``name``.
 
-        The bundle is written to a tmp sibling and atomically renamed in,
-        so readers never observe a partial artifact. Re-publishing an
-        existing name replaces it. ``activate=True`` also promotes the
-        version. ``note`` is recorded in the audit trail.
+        The bundle is written atomically, so readers never observe a
+        partial artifact. Re-publishing an existing name replaces it.
+        ``activate=True`` also promotes the version. ``note`` is recorded
+        in the audit trail.
         """
-        target = self.bundle_path(name)
-        tmp = target.with_name(target.name + ".tmp")
-        written = save_bundle(emulator, tmp, metadata=metadata)
-        os.replace(written, target)
+        target = save_bundle(emulator, self.bundle_path(name),
+                             metadata=metadata)
         self._audit("publish", name, note=note)
         if activate:
             self.promote(name, note=note)
@@ -123,12 +124,7 @@ class ModelRegistry:
             raise ValueError(f"cannot promote unknown version {name!r}; "
                              f"published versions: {self.versions()}")
         previous = self.active()
-        tmp = self._active_path.with_name(_ACTIVE_FILE + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(name + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._active_path)
+        atomic_write_text(self._active_path, name + "\n")
         self._audit("promote", name, previous=previous, note=note)
 
     # -- audit trail -----------------------------------------------------
@@ -139,16 +135,13 @@ class ModelRegistry:
             entry["previous"] = previous
         if note is not None:
             entry["note"] = note
-        with open(self._audit_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_jsonl(self._audit_path, entry)
 
     def audit_trail(self) -> list[dict]:
         """The publish/promote history, oldest first.
 
-        Append-only and advisory (see module docstring): a torn final
-        line — a crash mid-append — is skipped, not an error.
+        Append-only and advisory (see module docstring): a torn line — a
+        crash mid-append — is skipped, not an error.
         """
         try:
             lines = self._audit_path.read_text(encoding="utf-8").splitlines()

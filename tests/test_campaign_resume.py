@@ -208,7 +208,7 @@ def test_periodic_checkpoint_file_always_loadable(small_space, evaluator,
     """Every periodic write is atomic: peeking at the file between
     writes always parses, and a crash mid-write leaves the previous
     checkpoint behind."""
-    import repro.nas.checkpoint as ckpt_mod
+    import repro.durable as ckpt_mod
 
     ckpt = tmp_path / "campaign.json"
     seen = []

@@ -10,12 +10,7 @@ import pytest
 
 from repro.comparators import SimulatedCESM, SimulatedHYCOM, regional_rmse
 from repro.data import EASTERN_PACIFIC
-from repro.forecast import (
-    PODLSTMEmulator,
-    load_emulator,
-    posttrain_architecture,
-    save_emulator,
-)
+from repro.forecast import posttrain_architecture
 from repro.hpc import ThetaPartition, run_search
 from repro.nas import (
     AgingEvolution,
@@ -24,6 +19,7 @@ from repro.nas import (
 )
 from repro.nas.space import StackedLSTMSpace
 from repro.nas.space.ops import Operation
+from repro.serve import load_bundle, save_bundle
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +82,8 @@ class TestSciencePhase:
 class TestPersistencePhase:
     def test_save_load_forecast_identical(self, workflow, tmp_path):
         emulator = workflow["emulator"]
-        path = tmp_path / "workflow-emulator.npz"
-        save_emulator(emulator, path)
-        loaded = load_emulator(path)
+        path = save_bundle(emulator, tmp_path / "workflow-emulator.npz")
+        loaded = load_bundle(path)
         snaps = workflow["train"][:, -40:]
         a = emulator.score(snaps)
         b = loaded.score(snaps)

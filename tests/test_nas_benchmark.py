@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.durable import atomic_write_npz as write_npz_artifact
 from repro.hpc import (
     ParallelEvaluator,
     SerialEvaluator,
@@ -43,7 +44,6 @@ from repro.nas import (
     validate_sweep_report,
 )
 from repro.nas.benchmark import ARCHIVE_FORMAT, ARCHIVE_VERSION
-from repro.serve.artifact import write_npz_artifact
 
 
 @pytest.fixture(scope="module")

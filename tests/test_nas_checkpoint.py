@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.durable import atomic_write_json
 from repro.hpc import ThetaPartition, run_asynchronous_search
 from repro.nas import (
     AgingEvolution,
@@ -12,7 +13,6 @@ from repro.nas import (
 from repro.nas.checkpoint import (
     CHECKPOINT_VERSION,
     SEARCH_FORMAT,
-    atomic_write_json,
     load_search,
     restore_search,
     save_search,
@@ -167,7 +167,7 @@ class TestAtomicWrite:
         """A kill during save leaves the last good checkpoint intact."""
         import json
 
-        import repro.nas.checkpoint as ckpt
+        import repro.durable as ckpt
         path = tmp_path / "state.json"
         atomic_write_json(path, {"generation": 1})
 

@@ -152,13 +152,19 @@ class TestPipelineLoop:
         with pytest.raises(ValueError, match="refusing"):
             ContinuousPipeline(tmp_path / "state", registry, FEED, other)
 
-    def test_resume_classmethod_reads_configs(self, tmp_path, registry):
-        ContinuousPipeline(tmp_path / "state", registry,
+    @pytest.mark.parametrize("name", ["state", "state.npz", "state.bin"])
+    def test_resume_classmethod_reads_configs(self, tmp_path, registry,
+                                              name):
+        ContinuousPipeline(tmp_path / name, registry,
                            drift_feed("enso_shift"),
                            CONFIG).run(max_batches=1)
-        resumed = ContinuousPipeline.resume(tmp_path / "state", registry)
+        resumed = ContinuousPipeline.resume(tmp_path / name, registry)
         assert resumed.feed.config == drift_feed("enso_shift")
         assert resumed.config == CONFIG
+        # Reopening through the constructor resumes too (no restart).
+        reopened = ContinuousPipeline(tmp_path / name, registry,
+                                      drift_feed("enso_shift"), CONFIG)
+        assert reopened.state.next_batch == 1
         with pytest.raises(FileNotFoundError):
             ContinuousPipeline.resume(tmp_path / "missing", registry)
 

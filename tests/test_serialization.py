@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import build_manual_lstm
-from repro.forecast import PODLSTMEmulator, load_emulator, save_emulator
-from repro.forecast.scaling import StandardScaler
 from repro.nas.space import StackedLSTMSpace, build_network
 from repro.nn import DenseLayer, GRULayer, LSTMLayer, Network
 from repro.nn.layers import AddLayer
@@ -88,52 +86,6 @@ class TestNetworkSerialization:
         x = rng.standard_normal((2, 5, 3))
         np.testing.assert_allclose(loaded.forward(x), net.forward(x),
                                    atol=1e-14)
-
-
-class TestEmulatorSerialization:
-    @pytest.fixture()
-    def fitted(self, generator):
-        snaps = generator.snapshots(np.arange(60))
-        emulator = PODLSTMEmulator(n_modes=3, window=4,
-                                   trainer=Trainer(epochs=2, batch_size=16))
-        emulator.fit(snaps, rng=0)
-        return emulator, snaps
-
-    def test_forecasts_identical_after_roundtrip(self, tmp_path, fitted):
-        emulator, snaps = fitted
-        path = tmp_path / "emulator.npz"
-        save_emulator(emulator, path)
-        loaded = load_emulator(path)
-        times_a, fields_a = emulator.forecast_fields(snaps, horizon=1)
-        times_b, fields_b = loaded.forecast_fields(snaps, horizon=1)
-        np.testing.assert_array_equal(times_a, times_b)
-        np.testing.assert_allclose(fields_a, fields_b, atol=1e-12)
-
-    def test_score_identical(self, tmp_path, fitted):
-        emulator, snaps = fitted
-        path = tmp_path / "emulator.npz"
-        save_emulator(emulator, path)
-        loaded = load_emulator(path)
-        assert loaded.score(snaps) == pytest.approx(emulator.score(snaps),
-                                                    abs=1e-12)
-
-    def test_standard_scaler_variant(self, tmp_path, generator):
-        from repro.forecast import PODCoefficientPipeline
-        snaps = generator.snapshots(np.arange(50))
-        emulator = PODLSTMEmulator(n_modes=2, window=3,
-                                   trainer=Trainer(epochs=1, batch_size=16))
-        emulator.pipeline = PODCoefficientPipeline(2, 3,
-                                                   scaler=StandardScaler())
-        emulator.fit(snaps, rng=0)
-        path = tmp_path / "std.npz"
-        save_emulator(emulator, path)
-        loaded = load_emulator(path)
-        np.testing.assert_allclose(loaded.pipeline.transform(snaps),
-                                   emulator.pipeline.transform(snaps))
-
-    def test_unfitted_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_emulator(PODLSTMEmulator(), tmp_path / "x.npz")
 
 
 class TestLegacyNetworkFixtures:

@@ -23,6 +23,20 @@ def windows(tiny_emulator, generator):
     return tiny_emulator.pipeline.windows_from_snapshots(snaps).inputs
 
 
+@pytest.fixture(scope="module")
+def standard_scaler_emulator(generator):
+    """``tiny_emulator``'s pipeline uses the default MinMax scaler; this
+    one standardizes the POD coefficients instead."""
+    from repro.forecast import PODCoefficientPipeline, StandardScaler
+    from repro.nn import Trainer
+    emulator = PODLSTMEmulator(n_modes=2, window=3,
+                               trainer=Trainer(epochs=1, batch_size=16))
+    emulator.pipeline = PODCoefficientPipeline(2, 3,
+                                               scaler=StandardScaler())
+    emulator.fit(generator.snapshots(np.arange(50)), rng=0)
+    return emulator
+
+
 def _write_raw(path, header):
     """A bundle-shaped npz with an arbitrary header (schema attacks)."""
     np.savez(path, __bundle__=np.frombuffer(
@@ -48,6 +62,20 @@ class TestRoundTrip:
         assert loaded.pipeline.n_modes == tiny_emulator.pipeline.n_modes
         assert loaded.pipeline.window == tiny_emulator.pipeline.window
         assert loaded.train_fraction == tiny_emulator.train_fraction
+
+    @pytest.mark.parametrize("fitted", ["tiny_emulator",
+                                        "standard_scaler_emulator"],
+                             ids=["minmax", "standard"])
+    def test_every_scaler_round_trips_bitwise(self, tmp_path, generator,
+                                              request, fitted):
+        emulator = request.getfixturevalue(fitted)
+        loaded = load_bundle(save_bundle(emulator, tmp_path / "m.npz"))
+        snaps = generator.snapshots(np.arange(60))
+        np.testing.assert_array_equal(loaded.pipeline.transform(snaps),
+                                      emulator.pipeline.transform(snaps))
+        inputs = emulator.pipeline.windows_from_snapshots(snaps).inputs
+        np.testing.assert_array_equal(loaded.predict_windows(inputs),
+                                      emulator.predict_windows(inputs))
 
     def test_suffix_normalized(self, tmp_path, tiny_emulator):
         path = save_bundle(tiny_emulator, tmp_path / "model")

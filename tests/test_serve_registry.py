@@ -1,6 +1,8 @@
 """Model registry (repro.serve.registry): layout, promotion atomicity
 discipline, and name hygiene."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,42 @@ class TestPublish:
     def test_bad_names_rejected(self, registry, tiny_emulator, bad):
         with pytest.raises(ValueError, match="invalid version name"):
             registry.publish(bad, tiny_emulator)
+
+
+class TestCrashSafety:
+    """A kill at any point of publish + promote leaves ``versions()``
+    listing only complete bundles and ``ACTIVE`` on a loadable one."""
+
+    @pytest.mark.parametrize("kill_at", [0, 1],
+                             ids=["bundle-rename", "active-rename"])
+    def test_kill_at_each_replace(self, registry, tiny_emulator,
+                                  monkeypatch, kill_at):
+        registry.publish("r0000", tiny_emulator, activate=True)
+        real_replace = os.replace
+        renames = []
+
+        def dying_replace(src, dst):
+            renames.append(dst)
+            if len(renames) - 1 == kill_at:
+                raise OSError("killed before the rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError, match="killed"):
+            registry.publish("r0001", tiny_emulator, activate=True)
+        monkeypatch.setattr(os, "replace", real_replace)
+        # The process died mid-write: its temp file may be torn.
+        for leftover in registry.root.rglob("*.tmp"):
+            leftover.write_bytes(leftover.read_bytes()[:100])
+
+        expected = ["r0000"] if kill_at == 0 else ["r0000", "r0001"]
+        assert registry.versions() == expected
+        for name in registry.versions():
+            registry.load(name)  # every listed version is complete
+        assert registry.load()[0] == "r0000"
+        if kill_at == 0:
+            with pytest.raises(ValueError, match="unknown version"):
+                registry.promote("r0001")
 
 
 class TestPromotion:
@@ -134,6 +172,17 @@ class TestAuditTrail:
         trail = registry.audit_trail()
         assert len(trail) == 1
         assert trail[0]["version"] == "v1"
+
+    def test_torn_line_does_not_swallow_next_entry(self, registry,
+                                                   tiny_emulator):
+        """The append after a crash mid-append starts a new line."""
+        registry.publish("v1", tiny_emulator)
+        with open(registry.root / "AUDIT.jsonl", "a",
+                  encoding="utf-8") as fh:
+            fh.write('{"action": "pub')  # torn
+        registry.publish("v2", tiny_emulator)
+        assert [e["version"] for e in registry.audit_trail()] == [
+            "v1", "v2"]
 
     def test_trail_never_consulted_by_operations(self, registry,
                                                  tiny_emulator):
