@@ -165,6 +165,9 @@ class SyntheticSST:
         self._enso_origin = -(self.config.eddy_truncation + 64)
         self._enso_series = np.empty(0)
         self._ensure_enso(2048)
+        # Eddy noise fields by week, kept across fields() calls so a read
+        # that continues the previous one redraws none of its lags.
+        self._noise_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Spatial patterns
@@ -431,12 +434,13 @@ class SyntheticSST:
         std = smooth.std()
         return smooth / std if std > 0 else smooth
 
-    def _eddy_field(self, t: int, cache: dict[int, np.ndarray] | None = None
+    def _eddy_field(self, t: int, cache: dict[int, np.ndarray]
                     ) -> np.ndarray:
         """AR(1) eddy field via truncated moving-average representation.
 
         ``e_t = sqrt(1-rho^2) * sum_k rho^k n_{t-k}`` truncated at
         ``eddy_truncation`` lags — random access with bounded cost.
+        Noise fields are looked up in, and added to, ``cache``.
         """
         cfg = self.config
         acc = np.zeros(self.grid.shape)
@@ -445,13 +449,9 @@ class SyntheticSST:
             tk = t - k
             if tk < -cfg.eddy_truncation:
                 break
-            if cache is not None and tk in cache:
-                noise = cache[tk]
-            else:
-                noise = self._noise_field(tk)
-                if cache is not None:
-                    cache[tk] = noise
-            acc += (cfg.eddy_rho ** k) * noise
+            if tk not in cache:
+                cache[tk] = self._noise_field(tk)
+            acc += (cfg.eddy_rho ** k) * cache[tk]
         return cfg.eddy_amplitude * self._eddy_modulation * coeff * acc
 
     # ------------------------------------------------------------------
@@ -466,12 +466,19 @@ class SyntheticSST:
 
         Contiguous ascending index ranges reuse eddy noise fields across
         steps, so sequential generation costs ~1 smoothing per snapshot.
+        The reuse spans calls on one instance: each call keeps the
+        ``eddy_truncation`` lags that a read starting at the week after
+        its last one needs, so reading a stream in consecutive chunks
+        costs the same as one read. Noise depends on ``(seed, week)``
+        alone, so no value depends on how reads are chunked. Like the
+        lazily extended ENSO and weather series, this cache makes an
+        instance unsafe to share between threads.
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
         out = np.empty((idx.size,) + self.grid.shape, dtype=np.float64)
-        noise_cache: dict[int, np.ndarray] = {}
+        noise_cache = self._noise_cache
         max_cache = self.config.eddy_truncation + 2
         for row, t in enumerate(idx):
             t = int(t)
@@ -492,10 +499,17 @@ class SyntheticSST:
             if self.config.scenario != "none":
                 deterministic = deterministic + self._scenario_term(t)
             out[row] = deterministic + self._eddy_field(t, noise_cache)
-            # Bound the cache: only the last `truncation` lags are reusable.
+            # Bound the cache: keep the lags nearest the week just made.
             if len(noise_cache) > 2 * max_cache:
-                for key in sorted(noise_cache)[:-max_cache]:
+                for key in sorted(noise_cache,
+                                  key=lambda k: abs(k - t))[max_cache:]:
                     del noise_cache[key]
+        if idx.size:
+            # Keep only the lags a read continuing at the next week reuses.
+            last = int(idx[-1])
+            reused = range(last - self.config.eddy_truncation + 1, last + 1)
+            for key in [k for k in noise_cache if k not in reused]:
+                del noise_cache[key]
         out[:, ~self.ocean_mask] = np.nan
         return out
 

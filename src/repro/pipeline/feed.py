@@ -121,5 +121,5 @@ class SnapshotFeed:
             b += 1
 
     def snapshots(self, indices) -> np.ndarray:
-        """Arbitrary week columns (training/validation window assembly)."""
+        """Arbitrary week columns (a resumed pipeline's window re-read)."""
         return self.generator.snapshots(indices)

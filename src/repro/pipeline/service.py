@@ -8,7 +8,9 @@
 2. Every ``retrain_every`` batches (once enough weeks have arrived),
    **retrain** a :class:`~repro.forecast.pod_lstm.PODLSTMEmulator` on
    the trailing training window, projected through the *current*
-   incremental basis.
+   incremental basis. The train and validation windows are copied from
+   the ingested batches kept in memory, so each week is synthesized
+   once (after a resume, the weeks from before it are read once more).
 3. **Gate** the candidate on a held-out validation window (lead-1
    physical-field RMSE) against the registry's ACTIVE incumbent, and
    **publish + promote** only on improvement — otherwise record a typed
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -248,6 +251,9 @@ class ContinuousPipeline:
                                    forgetting=config.forgetting))
         self.feed = SnapshotFeed(feed_config)
         self.config = config
+        # ``(first_week, block)`` pairs, oldest first, of the ingested
+        # blocks that still reach into the trailing train+val window.
+        self._window: deque[tuple[int, np.ndarray]] = deque()
 
     @classmethod
     def resume(cls, state_path, registry: ModelRegistry
@@ -300,10 +306,35 @@ class ContinuousPipeline:
     def _ingest(self, block: np.ndarray) -> None:
         with obs.scope("pipeline/ingest"):
             self.state.pod.partial_fit(block)
+        # Batches are contiguous from week 0: the block starts at the
+        # week count ingested so far.
+        self._window.append((self.state.snapshots_ingested, block))
         self.state.snapshots_ingested += block.shape[1]
         self.state.basis_updates += 1
         obs.counter_add("pipeline/snapshots_ingested", block.shape[1])
         obs.counter_add("pipeline/basis_updates")
+        start = self.state.snapshots_ingested - (self.config.train_weeks
+                                                 + self.config.val_weeks)
+        while self._window[0][0] + self._window[0][1].shape[1] <= start:
+            self._window.popleft()
+
+    def _window_columns(self, start: int, stop: int) -> np.ndarray:
+        """Weeks ``[start, stop)`` of the trailing window as a fresh
+        C-contiguous ``(N_h, stop - start)`` array, the layout
+        :meth:`SnapshotFeed.snapshots` returns: training then sees the
+        same bytes through the same matmul paths.
+
+        Weeks ingested before this process started (a resume) come from
+        one feed read, at the first retrain that needs them.
+        """
+        held = self._window[0][0]
+        if start < held:
+            self._window.appendleft(
+                (start, self.feed.snapshots(np.arange(start, held))))
+        return np.concatenate(
+            [block[:, max(start - first, 0):stop - first]
+             for first, block in self._window
+             if first < stop and first + block.shape[1] > start], axis=1)
 
     def _should_retrain(self, batch: int) -> bool:
         cfg = self.config
@@ -321,9 +352,8 @@ class ContinuousPipeline:
         week_end = self.state.snapshots_ingested
         val_start = week_end - cfg.val_weeks
         train_start = val_start - cfg.train_weeks
-        train_snaps = self.feed.snapshots(
-            np.arange(train_start, val_start))
-        val_snaps = self.feed.snapshots(np.arange(val_start, week_end))
+        train_snaps = self._window_columns(train_start, val_start)
+        val_snaps = self._window_columns(val_start, week_end)
 
         # One RNG stream per retrain index: resume-independent.
         rng = np.random.default_rng(

@@ -351,20 +351,31 @@ class ForecastRouter:
             "router shut down before the request was served")
         for shard in list(self._shards.values()):
             shard.close(shutdown)
-        # 2. Stop accepting new clients.
+        # 2. Stop accepting new clients. Closing alone does not wake a
+        #    thread blocked in accept(); shutting the listener down does.
         if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        # 3. Give handlers a moment to flush their error frames, then
-        #    drop the client sockets.
-        for thread in list(self._client_threads):
-            thread.join(timeout=5.0)
+        # 3. End every client's input: a handler blocked reading its next
+        #    request sees EOF, while one still answering a failed request
+        #    can send its error frame. Then drop the client sockets.
         with self._conns_lock:
             conns = list(self._client_conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        for thread in list(self._client_threads):
+            thread.join(timeout=5.0)
         for conn in conns:
             try:
                 conn.close()
@@ -557,10 +568,12 @@ class ForecastRouter:
                         "code": "bad-request",
                         "message": f"unknown message type {kind!r}"})
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            # The reader holds the socket open until it is closed too.
+            for resource in (reader, conn):
+                try:
+                    resource.close()
+                except OSError:
+                    pass
             with self._conns_lock:
                 self._client_conns.discard(conn)
             self._client_threads.discard(threading.current_thread())
@@ -696,10 +709,13 @@ class RouterClient:
                 if k not in ("type", "id")}
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        # The reader holds the socket open until it is closed too; only
+        # then does the router's handler read EOF.
+        for resource in (self._reader, self._sock):
+            try:
+                resource.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "RouterClient":
         return self

@@ -4,9 +4,14 @@ an interrupted-and-resumed pipeline reproduces the bitwise-identical
 promotion sequence of an uninterrupted run, under climate drift
 (docs/PIPELINE.md)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import repro.pipeline.service as service
+from repro.data.sst import SyntheticSST
+from repro.forecast.pod_lstm import PODLSTMEmulator
 from repro.pipeline import (
     ContinuousPipeline,
     FeedConfig,
@@ -199,6 +204,39 @@ class TestPipelineLoop:
         for d in pipe.state.decisions:
             assert d.version in report
 
+    def test_retrains_get_fresh_feed_layout(self, tmp_path, registry,
+                                            monkeypatch):
+        """Training and gating see the window as the feed lays it out:
+        fresh C-contiguous (N_h, n) float64 arrays with the feed's bytes
+        (a strided view can take another matmul path)."""
+        pipe = ContinuousPipeline(tmp_path / "state", registry, FEED,
+                                  CONFIG)
+        feed = SnapshotFeed(FEED)
+        checked = []
+
+        def check(snaps, stop):
+            assert snaps.flags.c_contiguous and snaps.flags.owndata
+            assert snaps.dtype == np.float64
+            weeks = np.arange(stop - snaps.shape[1], stop)
+            assert snaps.tobytes() == feed.snapshots(weeks).tobytes()
+            checked.append(stop)
+
+        fit, gate = PODLSTMEmulator.fit, service.field_rmse
+        monkeypatch.setattr(
+            PODLSTMEmulator, "fit",
+            lambda emulator, snaps, **kw: check(
+                snaps, pipe.state.snapshots_ingested - CONFIG.val_weeks)
+            or fit(emulator, snaps, **kw))
+        monkeypatch.setattr(
+            service, "field_rmse",
+            lambda emulator, snaps: check(
+                snaps, pipe.state.snapshots_ingested)
+            or gate(emulator, snaps))
+        pipe.run()
+        # Three retrains: three fits, three candidate and two incumbent
+        # gates.
+        assert len(checked) == 8
+
 
 class TestPromotionGate:
     def test_promotion_iff_strict_improvement(self, tmp_path, registry):
@@ -247,10 +285,66 @@ def run_pipeline(tmp_path, feed, interrupt_at=()):
             [decision_tuple(d) for d in pipe.state.decisions])
 
 
+def refuse_read(self, indices):
+    raise AssertionError(f"read weeks {indices[0]}..{indices[-1]}")
+
+
 class TestDeterministicResume:
     """The acceptance contract: interrupted-and-resumed == uninterrupted,
     bitwise, for the full promotion sequence, under both drift
     scenarios."""
+
+    # An uninterrupted drift_feed("enso_shift") run under CONFIG: SHA-256
+    # of repr() of its decision tuples (floats unrounded) and the final
+    # ACTIVE emulator_digest. The other tests compare two runs of the
+    # same code; these catch a change that shifts bits in both. Trained
+    # weights round differently on BLAS kernels without FMA, so the pins
+    # hold for x86-64 OpenBLAS builds that use its FMA kernels.
+    PINNED_LEDGER = ("b9abac24de2658dff15cd6c41589e63f"
+                     "64d6944ea6a2c8189114f018a4d7601e")
+    PINNED_DIGEST = ("566bf2a77ab8249e9fcbe2152775cf31"
+                     "cfdc237a1128e6df84630ba7a5dbedab")
+
+    def test_enso_shift_bits_are_pinned(self, tmp_path):
+        decisions, _, _, digest, _ = run_pipeline(tmp_path,
+                                                  drift_feed("enso_shift"))
+        assert hashlib.sha256(
+            repr(decisions).encode()).hexdigest() == self.PINNED_LEDGER
+        assert digest == self.PINNED_DIGEST
+
+    def test_resume_after_every_batch(self, tmp_path, monkeypatch):
+        """Each batch in a fresh pipeline, so every retrain rebuilds its
+        window from the feed; an uninterrupted run never re-reads it."""
+        feed = drift_feed("enso_shift")
+        resumed = run_pipeline(tmp_path / "b", feed,
+                               interrupt_at=tuple(range(1, 18)))
+        monkeypatch.setattr(SnapshotFeed, "snapshots", refuse_read)
+        baseline = run_pipeline(tmp_path / "a", feed)
+        assert resumed == baseline
+        assert baseline[3] == self.PINNED_DIGEST  # final ACTIVE digest
+
+    def test_resume_reads_window_once(self, tmp_path, monkeypatch):
+        """Reopening for a status synthesizes nothing; the first retrain
+        after a resume reads the pre-resume weeks in one feed call."""
+        registry = ModelRegistry(tmp_path / "reg")
+        ContinuousPipeline(tmp_path / "state", registry,
+                           drift_feed("enso_shift"),
+                           CONFIG).run(max_batches=13)
+        with monkeypatch.context() as patched:
+            patched.setattr(SyntheticSST, "fields", refuse_read)
+            pipe = ContinuousPipeline.resume(tmp_path / "state", registry)
+            validate_pipeline_status(pipe.status())
+            pipe.report()
+        reads = []
+        read = SnapshotFeed.snapshots
+        monkeypatch.setattr(
+            SnapshotFeed, "snapshots",
+            lambda feed, weeks: reads.append(list(weeks))
+            or read(feed, weeks))
+        assert [d.week_end for d in pipe.run()] == [90, 108]
+        # 78 weeks ingested before the resume; the week-90 retrain's
+        # window starts at week 30.
+        assert reads == [list(range(30, 78))]
 
     @pytest.mark.parametrize("scenario",
                              ["enso_shift", "trend_acceleration"])

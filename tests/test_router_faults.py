@@ -12,7 +12,8 @@ answer for:
 * router shutdown fails all in-flight requests with the typed
   :class:`RouterShutdown` — the client socket is answered, never
   deadlocked (the process-level analogue of
-  ``ForecastEngine.stop()`` failing its queue with ``EngineStopped``);
+  ``ForecastEngine.stop()`` failing its queue with ``EngineStopped``) —
+  and returns at once, whether clients have hung up or sit idle;
 * retries are bounded: with ``max_retries=0`` a dead shard reports
   :class:`WorkerUnavailable` instead of retrying forever.
 """
@@ -184,6 +185,29 @@ def test_shutdown_fails_inflight_with_typed_error(registry_root,
     assert not thread.is_alive(), "client deadlocked across shutdown"
     assert isinstance(outcome["result"], RouterShutdown), \
         f"expected RouterShutdown, got {outcome['result']!r}"
+
+
+@pytest.mark.parametrize("client", ["closed", "idle"])
+def test_close_returns_promptly(registry_root, client):
+    """close() wakes the accept loop and every client handler instead of
+    waiting out their join timeouts."""
+    router = ForecastRouter(registry_root, n_workers=1).start()
+    connection = RouterClient(router.address)
+    try:
+        connection.stats()  # a handler is serving this connection
+        if client == "closed":
+            connection.close()
+            # Closing the client's reader lets its handler read EOF.
+            deadline = time.monotonic() + 1.0
+            while router._client_threads and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not router._client_threads
+        start = time.perf_counter()
+        router.close()
+        assert time.perf_counter() - start < 1.0
+    finally:
+        connection.close()
+        router.close()
 
 
 def test_retries_are_bounded(registry_root, windows):

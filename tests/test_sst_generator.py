@@ -21,14 +21,54 @@ class TestDeterminism:
     def test_random_access_matches_sequential(self, generator):
         sequential = generator.fields(np.arange(5, 9))
         direct = generator.field(7)
-        np.testing.assert_allclose(sequential[2], direct, equal_nan=True)
+        np.testing.assert_array_equal(sequential[2], direct)
 
     def test_nonconsecutive_indices(self, generator):
         fields = generator.fields([3, 50, 7])
-        np.testing.assert_allclose(fields[0], generator.field(3),
-                                   equal_nan=True)
-        np.testing.assert_allclose(fields[1], generator.field(50),
-                                   equal_nan=True)
+        np.testing.assert_array_equal(fields[0], generator.field(3))
+        np.testing.assert_array_equal(fields[1], generator.field(50))
+
+
+class TestChunkedReads:
+    """Eddy-noise lags carry across ``fields`` calls on one instance.
+
+    Every read pattern yields the bytes of a single read on a fresh
+    instance, and draws no more noise fields than the same reads did
+    when each call started from an empty cache."""
+
+    # name -> (reads, noise fields drawn, drawn with a per-call cache);
+    # 12-degree grid, seed 0. Sequential batches draw each week once.
+    PATTERNS = {
+        "batches": ([np.arange(4 * b, 4 * b + 4) for b in range(30)],
+                    120 + SSTConfig().eddy_truncation, 840),
+        "one-read": ([np.arange(120)], 144, 144),
+        "backward-window": ([np.arange(100, 120), np.arange(20, 116)],
+                            164, 164),
+        "scattered": ([[3, 50, 7]], 54, 54),
+        "jump-back": ([[479], np.arange(8)], 57, 57),
+    }
+
+    @staticmethod
+    def _generator() -> SyntheticSST:
+        return SyntheticSST(grid=LatLonGrid(degrees=12.0), seed=0)
+
+    @pytest.fixture(scope="class")
+    def reference(self) -> np.ndarray:
+        return self._generator().snapshots(np.arange(480))
+
+    @pytest.mark.parametrize("pattern", list(PATTERNS))
+    def test_reads_match_one_read_bytewise(self, pattern, reference):
+        reads, noise, per_call_noise = self.PATTERNS[pattern]
+        gen = self._generator()
+        drawn = []
+        noise_field = gen._noise_field
+        gen._noise_field = lambda t: drawn.append(t) or noise_field(t)
+        for weeks in reads:
+            snaps = gen.snapshots(weeks)
+            assert snaps.tobytes() == np.ascontiguousarray(
+                reference[:, weeks]).tobytes()
+            assert len(gen._noise_cache) <= gen.config.eddy_truncation
+        assert len(drawn) == noise <= per_call_noise
 
 
 class TestGoldenArchive:
