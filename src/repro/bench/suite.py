@@ -51,20 +51,9 @@ _FULL_CELL_POINTS = _QUICK_CELL_POINTS + (
 )
 
 
-#: ``(kind, B, T, H)`` points that also get an explicitly fused-pinned
-#: ``*_fused`` entry (the unsuffixed entries run the process-default
-#: kernel path, which today is also fused — the pinned entries keep the
-#: fused trajectory comparable even if the default ever flips back).
-_FUSED_CELL_POINTS = (
-    ("lstm", 64, 16, 64),
-    ("gru", 64, 16, 64),
-)
-
-
-def _cell_benchmark(kind: str, batch: int, steps: int, units: int,
-                    fused: bool | None = None) -> Benchmark:
+def _cell_benchmark(kind: str, batch: int, steps: int,
+                    units: int) -> Benchmark:
     def make():
-        from repro.nn.fused import fused_kernels
         from repro.nn.layers import GRULayer, LSTMLayer, SimpleRNNLayer
         layer_cls = {"lstm": LSTMLayer, "gru": GRULayer,
                      "rnn": SimpleRNNLayer}[kind]
@@ -75,24 +64,16 @@ def _cell_benchmark(kind: str, batch: int, steps: int, units: int,
         grad = rng.standard_normal((batch, steps, units))
 
         def run():
-            import contextlib
-            pin = contextlib.nullcontext() if fused is None \
-                else fused_kernels(fused)
-            with pin:
-                layer.forward([x], training=True)
-                layer.zero_grads()
-                layer.backward(grad)
+            layer.forward([x], training=True)
+            layer.zero_grads()
+            layer.backward(grad)
         return run
 
-    suffix = "" if fused is None else ("_fused" if fused else "_ref")
-    kernel = "process default" if fused is None \
-        else ("fused (pinned)" if fused else "reference (pinned)")
     return Benchmark(
-        name=f"{kind}_fwd_bwd_b{batch}_t{steps}_h{units}{suffix}",
+        name=f"{kind}_fwd_bwd_b{batch}_t{steps}_h{units}",
         make=make,
         metadata={"kind": kind, "batch": batch, "steps": steps,
                   "units": units, "features": _CELL_FEATURES,
-                  "kernel": kernel,
                   "measures": "forward+backward, full BPTT"})
 
 
@@ -603,15 +584,13 @@ def _pipeline_cycle_benchmark() -> Benchmark:
 
 def default_suite(quick: bool = True, *,
                   max_workers: int = 4) -> list[Benchmark]:
-    """The BENCH_core.json suite (23 benchmarks quick, 26 full).
+    """The BENCH_core.json suite (21 benchmarks quick, 24 full).
 
     ``max_workers`` caps the pool sizes of the serial-vs-pool throughput
     benchmarks (``repro bench --workers``); 0 drops them entirely.
     """
     points = _QUICK_CELL_POINTS if quick else _FULL_CELL_POINTS
     suite = [_cell_benchmark(*p) for p in points]
-    suite.extend(_cell_benchmark(*p, fused=True)
-                 for p in _FUSED_CELL_POINTS)
     suite.append(_trainer_epoch_benchmark(quick))
     suite.append(_pod_basis_benchmark(quick))
     suite.append(_random_search_benchmark())

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import Callable
 
 __all__ = ["main", "EXPERIMENTS", "SUBCOMMANDS"]
@@ -107,6 +108,12 @@ def bench_main(argv: list[str]) -> int:
     # a typed exit code rather than a traceback after them.
     baseline = None
     if args.compare is not None:
+        # The run writes --out before it compares: the same file on both
+        # sides would be overwritten and then "compared" against itself.
+        if Path(args.compare).resolve() == Path(args.out).resolve():
+            print(f"error: --compare baseline {args.compare} is also the "
+                  f"--out path; pass a different --out", file=sys.stderr)
+            return 2
         from repro.bench import load_bench_file
         try:
             baseline = load_bench_file(args.compare)

@@ -19,8 +19,6 @@ from repro.nn.optimizers import SGD, Adam
 from repro.nn.training import History, Trainer
 from repro.nn.detmath import (batch_invariant, batch_invariant_enabled,
                               recurrent_matmul)
-from repro.nn.fused import (fused_enabled, fused_kernels,
-                            reference_kernels, set_fused_default)
 from repro.nn.serialization import (load_network, network_from_spec,
                                     network_spec, save_network)
 
@@ -36,6 +34,4 @@ __all__ = [
     "History", "Trainer",
     "save_network", "load_network", "network_spec", "network_from_spec",
     "batch_invariant", "batch_invariant_enabled", "recurrent_matmul",
-    "fused_enabled", "fused_kernels", "reference_kernels",
-    "set_fused_default",
 ]

@@ -1,95 +1,43 @@
-"""Runtime switch between the fused and reference recurrent kernels.
+"""Shared machinery and rules of the fused recurrent kernels.
 
 The recurrent layers (:mod:`repro.nn.layers.lstm` / ``gru`` / ``rnn``)
-carry two implementations of the same numerics:
+each run one kernel, written for the training hot path. The input
+projection ``x @ Wx + b`` for the whole sequence is hoisted out of the
+timestep loop, gate activations are evaluated in one ufunc pass per
+nonlinearity over contiguous gate blocks, per-step buffers are
+preallocated once per shape (:class:`ScratchPool`), and BPTT
+weight-gradient accumulation is cache-blocked: the sequential part of
+backward only materializes the per-step pre-activation gradients, after
+which ``dWx``/``dWh``/``db``/``dx`` each fall out of a *single* stacked
+``(T·B, ·)`` GEMM instead of ``T`` small ones.
 
-* the **reference** path — one small GEMM/elementwise expression per
-  quantity per timestep, written for auditability and kept verbatim as
-  the ground truth of the differential suite
-  (tests/test_fused_differential.py);
-* the **fused** path — the training hot path. The input projection
-  ``x @ Wx + b`` for the whole sequence is hoisted out of the timestep
-  loop, gate activations are evaluated in one ufunc pass per
-  nonlinearity over contiguous gate blocks, per-step buffers are
-  preallocated once per call, and BPTT weight-gradient accumulation is
-  cache-blocked: the sequential part of backward only materializes the
-  per-step pre-activation gradients, after which
-  ``dWx``/``dWh``/``db``/``dx`` each fall out of a *single* stacked
-  ``(T·B, ·)`` GEMM instead of ``T`` small ones.
+Each kernel is held to a **reference cell** — one small
+GEMM/elementwise expression per quantity per timestep, written for
+auditability — kept as the differential suite's oracle in
+``tests/reference_cells.py``.
 
-  One rule bounds what the forward fusion may restructure: every GEMM it
-  issues has the **same shape as the reference path's** (the hoisted
-  projection is the same batched ``(B)×(T,F)@(F,·)`` matmul; the
-  recurrent products are the same wide per-step GEMMs), with contiguity
-  obtained by data-movement copies afterwards. Differently *shaped*
-  GEMMs over the same data are not bitwise-equal in general — BLAS picks
-  M/N-dependent kernels whose K-reduction order differs, and the
-  batch-invariant gufunc's SIMD remainder reorders odd-K accumulation —
-  whereas same-shape calls on differently-strided operands are (BLAS
-  packs its operands; the gufunc's reduction order is layout-independent).
+One rule bounds what the forward fusion may restructure: every GEMM it
+issues has the **same shape as the reference cell's** (the hoisted
+projection is the same batched ``(B)×(T,F)@(F,·)`` matmul; the recurrent
+products are the same wide per-step GEMMs), with contiguity obtained by
+data-movement copies afterwards. Differently *shaped* GEMMs over the
+same data are not bitwise-equal in general — BLAS picks M/N-dependent
+kernels whose K-reduction order differs, and the batch-invariant
+gufunc's SIMD remainder reorders odd-K accumulation — whereas same-shape
+calls on differently-strided operands are (BLAS packs its operands; the
+gufunc's reduction order is layout-independent).
 
-Contract (enforced by the differential suite): forward is **bitwise
-identical** between the two paths, with and without
+Contract (enforced by tests/test_fused_differential.py against the
+reference cells): forward is **bitwise identical**, with and without
 :func:`repro.nn.detmath.batch_invariant`; backward gradients agree to a
 documented ``1e-12`` max-abs-diff (the stacked GEMMs reassociate the
 reduction over timesteps, which IEEE addition does not commute with —
 everything else is the same arithmetic in the same order).
-
-The flag is thread-local so a serving thread and a training thread can
-pick independently; the process-wide default is fused. Layers read the
-flag at ``forward`` time and remember which path filled their cache, so
-``backward`` always matches its own forward even if the flag flips in
-between.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-
-__all__ = ["ScratchPool", "fused_enabled", "fused_kernels",
-           "reference_kernels", "set_fused_default"]
-
-_LOCAL = threading.local()
-
-#: Process-wide default for threads that never entered a context.
-_DEFAULT = True
-
-
-def fused_enabled() -> bool:
-    """Whether the calling thread currently runs the fused kernels."""
-    return getattr(_LOCAL, "enabled", _DEFAULT)
-
-
-def set_fused_default(enabled: bool) -> None:
-    """Set the process-wide default mode (threads inside a
-    :func:`fused_kernels` / :func:`reference_kernels` context are
-    unaffected until they leave it)."""
-    global _DEFAULT
-    _DEFAULT = bool(enabled)
-
-
-@contextmanager
-def fused_kernels(enabled: bool = True):
-    """Run the calling thread's recurrent layers in fused (or, with
-    ``enabled=False``, reference) mode for the duration of the block."""
-    previous = getattr(_LOCAL, "enabled", None)
-    _LOCAL.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        if previous is None:
-            del _LOCAL.enabled
-        else:
-            _LOCAL.enabled = previous
-
-
-@contextmanager
-def reference_kernels():
-    """Shorthand for ``fused_kernels(False)`` — the differential suite's
-    ground-truth mode."""
-    with fused_kernels(False):
-        yield
+__all__ = ["ScratchPool"]
 
 
 class ScratchPool:
@@ -104,9 +52,8 @@ class ScratchPool:
     partial batch of an epoch).
 
     Not thread-safe by design: a pool belongs to one layer instance, and
-    a layer's forward/backward is never entered concurrently (the
-    parallel DAG executor schedules distinct *nodes*, each its own layer
-    instance, onto distinct threads). Pickling a layer — e.g. shipping a
+    a layer's forward/backward is never entered concurrently (a network
+    runs its nodes one at a time). Pickling a layer — e.g. shipping a
     candidate to a NAS worker process — deliberately drops the buffers:
     they are derived state, and the worker's shapes may differ.
     """

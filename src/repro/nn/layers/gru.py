@@ -15,11 +15,11 @@ catalog realizes that. Cell equations (update gate ``z``, reset gate
 
 Weight layout (shared with every serialized artifact): ``Wx (F, 3H)``,
 ``Wh (H, 3H)``, ``b (3H,)``, gates stacked ``[z, r, g]`` along the wide
-axis. Like the LSTM, a reference and a fused implementation coexist
-(:mod:`repro.nn.fused`); the fused forward issues the reference's exact
-GEMM shapes (bitwise identity forbids reshaping them) and buys its
-speed from buffer reuse, contiguous activation blocks and cache-blocked
-BPTT accumulation.
+axis. Like the LSTM, the kernel is fused (:mod:`repro.nn.fused`): its
+forward issues the exact GEMM shapes of the reference cell in
+``tests/reference_cells.py`` (bitwise identity forbids reshaping them)
+and buys its speed from buffer reuse, contiguous activation blocks and
+cache-blocked BPTT accumulation.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.nn.activations import dsigmoid_from_y, dtanh_from_y, sigmoid
+from repro.nn.activations import sigmoid
 from repro.nn.detmath import recurrent_matmul
-from repro.nn.fused import ScratchPool, fused_enabled, ones_column
+from repro.nn.fused import ScratchPool, ones_column
 from repro.nn.initializers import glorot_uniform, orthogonal
 from repro.nn.layers.base import Layer
 from repro.utils.rng import as_generator
@@ -63,103 +63,7 @@ class GRULayer(Layer):
         return self.units
 
     # ------------------------------------------------------------------
-    def forward(self, inputs, training: bool = False) -> np.ndarray:
-        x = self._check_single_input(inputs)
-        if fused_enabled():
-            return self._forward_fused(x)
-        return self._forward_reference(x)
-
-    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cache = self._cache
-        self._cache = None
-        if cache[0] == "fused":
-            return self._backward_fused(cache, grad_output)
-        return self._backward_reference(cache, grad_output)
-
-    # ------------------------------------------------------------------
-    # Reference path — ground truth of the differential suite.
-    # ------------------------------------------------------------------
-    def _forward_reference(self, x: np.ndarray) -> np.ndarray:
-        batch, steps, _ = x.shape
-        h = self.units
-        wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-
-        hs = np.zeros((steps, batch, h))
-        gates = np.zeros((steps, batch, 3 * h))
-        x_proj = x @ wx + b
-        # One input-projection GEMM + two recurrent GEMMs per step.
-        obs.counter_add("nn/gemms", 1 + 2 * steps)
-        h_prev = np.zeros((batch, h))
-        for t in range(steps):
-            rec = recurrent_matmul(h_prev, wh)      # (B, 3H)
-            z = sigmoid(x_proj[:, t, :h] + rec[:, :h])
-            r = sigmoid(x_proj[:, t, h:2 * h] + rec[:, h:2 * h])
-            g = np.tanh(x_proj[:, t, 2 * h:]
-                        + recurrent_matmul(r * h_prev, wh[:, 2 * h:]))
-            h_t = z * h_prev + (1.0 - z) * g
-            gates[t, :, :h] = z
-            gates[t, :, h:2 * h] = r
-            gates[t, :, 2 * h:] = g
-            hs[t] = h_t
-            h_prev = h_t
-        self._cache = ("ref", x, hs, gates)
-        return np.ascontiguousarray(hs.transpose(1, 0, 2))
-
-    def _backward_reference(self, cache, grad_output: np.ndarray
-                            ) -> list[np.ndarray]:
-        _, x, hs, gates = cache
-        batch, steps, in_dim = x.shape
-        h = self.units
-        wx, wh = self.params["Wx"], self.params["Wh"]
-
-        grad_out = grad_output.transpose(1, 0, 2)
-        dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((batch, h))
-
-        for t in range(steps - 1, -1, -1):
-            z = gates[t, :, :h]
-            r = gates[t, :, h:2 * h]
-            g = gates[t, :, 2 * h:]
-            h_prev = hs[t - 1] if t > 0 else np.zeros((batch, h))
-
-            dh = grad_out[t] + dh_next
-            dz = dh * (h_prev - g)
-            dg = dh * (1.0 - z)
-            dh_prev = dh * z
-
-            dz_pre = dz * dsigmoid_from_y(z)
-            dg_pre = dg * dtanh_from_y(g)
-            # g's recurrent branch: (r * h_prev) @ Ug
-            d_rh = dg_pre @ wh[:, 2 * h:].T
-            dr = d_rh * h_prev
-            dh_prev = dh_prev + d_rh * r
-            dr_pre = dr * dsigmoid_from_y(r)
-
-            dz_r = np.concatenate([dz_pre, dr_pre], axis=1)  # (B, 2H)
-            dh_prev = dh_prev + dz_r @ wh[:, :2 * h].T
-
-            dpre = np.concatenate([dz_r, dg_pre], axis=1)    # (B, 3H)
-            dwx += x[:, t, :].T @ dpre
-            db += dpre.sum(axis=0)
-            dx[:, t, :] = dpre @ wx.T
-            # Recurrent weight grads: z/r branches read h_prev; the
-            # candidate branch reads r * h_prev (h_prev is zero at t=0).
-            dwh[:, :2 * h] += h_prev.T @ dz_r
-            dwh[:, 2 * h:] += (r * h_prev).T @ dg_pre
-            dh_next = dh_prev
-
-        self.grads["Wx"] += dwx
-        self.grads["Wh"] += dwh
-        self.grads["b"] += db
-        return [dx]
-
-    # ------------------------------------------------------------------
-    # Fused path — the training hot path (see repro.nn.fused).
+    # Fused kernels (shape rule and contract: repro.nn.fused).
     # ------------------------------------------------------------------
     def _buffers(self, batch: int, steps: int, in_dim: int) -> dict:
         h = self.units
@@ -198,7 +102,8 @@ class GRULayer(Layer):
                 "dxt": np.empty((steps * batch, in_dim)),
             })
 
-    def _forward_fused(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, inputs, training: bool = False) -> np.ndarray:
+        x = self._check_single_input(inputs)
         batch, steps, in_dim = x.shape
         h = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
@@ -214,7 +119,7 @@ class GRULayer(Layer):
         hs = bufs["hs"]
         gates = bufs["gates"]
         rh = bufs["rh"]  # r * h_prev, reused by backward
-        # Input projection: the REFERENCE's exact batched 3-D matmul —
+        # Input projection: the reference cell's exact batched 3-D matmul —
         # a differently shaped GEMM over the same data (flat B*T rows,
         # or per-gate column blocks) is not bitwise safe in general
         # (M/N-dependent kernels reorder the K-reduction; small odd
@@ -251,7 +156,7 @@ class GRULayer(Layer):
             np.multiply(t1, g, out=t1)
             hs[t] += t1
             h_prev = hs[t]
-        self._cache = ("fused", x, hs, gates, rh)
+        self._cache = (x, hs, gates, rh)
         # Always a fresh copy: for singleton batch/steps the transpose
         # is already contiguous and ``ascontiguousarray`` would hand the
         # caller a *view into the pooled scratch* that the next forward
@@ -260,9 +165,11 @@ class GRULayer(Layer):
         np.copyto(out, hs.transpose(1, 0, 2))
         return out
 
-    def _backward_fused(self, cache, grad_output: np.ndarray
-                        ) -> list[np.ndarray]:
-        _, x, hs, gates, rh = cache
+    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        x, hs, gates, rh = self._cache
+        self._cache = None
         batch, steps, in_dim = x.shape
         h = self.units
         wx, wh = self.params["Wx"], self.params["Wh"]

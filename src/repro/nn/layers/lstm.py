@@ -15,15 +15,15 @@ Glorot-uniform input kernel, orthogonal recurrent kernel, zero bias with
 unit forget-gate bias.
 
 The per-timestep recurrence is an irreducible loop; everything inside it
-is batched matrix algebra (the window K = 8 keeps the loop short). Two
-implementations of the identical numerics coexist (see
-:mod:`repro.nn.fused`): the auditable *reference* path, and the *fused*
-hot path whose forward is bitwise-identical and whose cache-blocked BPTT
-agrees to <= 1e-12 (stacked ``(T*B, .)`` weight-gradient GEMMs
-reassociate the timestep reduction; nothing else differs).
+is batched matrix algebra (the window K = 8 keeps the loop short). The
+kernel is fused (see :mod:`repro.nn.fused`): its forward is bitwise
+identical to the auditable reference cell in ``tests/reference_cells.py``,
+and its cache-blocked BPTT agrees with it to <= 1e-12 (stacked
+``(T*B, .)`` weight-gradient GEMMs reassociate the timestep reduction;
+nothing else differs).
 
-Weight layout is shared by both paths and by every serialized artifact
-(:mod:`repro.nn.serialization`): ``Wx (F, 4H)``, ``Wh (H, 4H)``,
+Weight layout is shared with the reference cell and every serialized
+artifact (:mod:`repro.nn.serialization`): ``Wx (F, 4H)``, ``Wh (H, 4H)``,
 ``b (4H,)`` with gates stacked ``[i, f, g, o]`` along the wide axis.
 """
 
@@ -32,9 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.nn.activations import dsigmoid_from_y, dtanh_from_y, sigmoid
+from repro.nn.activations import sigmoid
 from repro.nn.detmath import recurrent_matmul
-from repro.nn.fused import ScratchPool, fused_enabled, ones_column
+from repro.nn.fused import ScratchPool, ones_column
 from repro.nn.initializers import glorot_uniform, orthogonal
 from repro.nn.layers.base import Layer
 from repro.utils.rng import as_generator
@@ -69,107 +69,7 @@ class LSTMLayer(Layer):
         return self.units
 
     # ------------------------------------------------------------------
-    def forward(self, inputs, training: bool = False) -> np.ndarray:
-        x = self._check_single_input(inputs)
-        if fused_enabled():
-            return self._forward_fused(x)
-        return self._forward_reference(x)
-
-    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cache = self._cache
-        self._cache = None
-        if cache[0] == "fused":
-            return self._backward_fused(cache, grad_output)
-        return self._backward_reference(cache, grad_output)
-
-    # ------------------------------------------------------------------
-    # Reference path — ground truth of the differential suite.
-    # ------------------------------------------------------------------
-    def _forward_reference(self, x: np.ndarray) -> np.ndarray:
-        batch, steps, _ = x.shape
-        h = self.units
-        wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-
-        hs = np.zeros((steps, batch, h))
-        cs = np.zeros((steps, batch, h))
-        gates = np.zeros((steps, batch, 4 * h))
-        tanh_c = np.zeros((steps, batch, h))
-
-        # Hoist the input projection out of the loop (one big GEMM).
-        x_proj = x @ wx + b  # (B, T, 4H)
-        # One input-projection GEMM + one recurrent GEMM per step.
-        obs.counter_add("nn/gemms", 1 + steps)
-        h_prev = np.zeros((batch, h))
-        c_prev = np.zeros((batch, h))
-        for t in range(steps):
-            z = x_proj[:, t, :] + recurrent_matmul(h_prev, wh)
-            i = sigmoid(z[:, :h])
-            f = sigmoid(z[:, h:2 * h])
-            g = np.tanh(z[:, 2 * h:3 * h])
-            o = sigmoid(z[:, 3 * h:])
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h_t = o * tc
-            gates[t, :, :h] = i
-            gates[t, :, h:2 * h] = f
-            gates[t, :, 2 * h:3 * h] = g
-            gates[t, :, 3 * h:] = o
-            cs[t] = c
-            tanh_c[t] = tc
-            hs[t] = h_t
-            h_prev, c_prev = h_t, c
-        self._cache = ("ref", x, hs, cs, gates, tanh_c)
-        return np.ascontiguousarray(hs.transpose(1, 0, 2))
-
-    def _backward_reference(self, cache, grad_output: np.ndarray
-                            ) -> list[np.ndarray]:
-        _, x, hs, cs, gates, tanh_c = cache
-        batch, steps, in_dim = x.shape
-        h = self.units
-        wx, wh = self.params["Wx"], self.params["Wh"]
-
-        grad_out = grad_output.transpose(1, 0, 2)  # (T, B, H)
-        dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
-
-        dh_next = np.zeros((batch, h))
-        dc_next = np.zeros((batch, h))
-        for t in range(steps - 1, -1, -1):
-            i = gates[t, :, :h]
-            f = gates[t, :, h:2 * h]
-            g = gates[t, :, 2 * h:3 * h]
-            o = gates[t, :, 3 * h:]
-            tc = tanh_c[t]
-            c_prev = cs[t - 1] if t > 0 else np.zeros((batch, h))
-            h_prev = hs[t - 1] if t > 0 else np.zeros((batch, h))
-
-            dh = grad_out[t] + dh_next
-            dc = dc_next + dh * o * dtanh_from_y(tc)
-
-            dz = np.empty((batch, 4 * h))
-            dz[:, :h] = dc * g * dsigmoid_from_y(i)            # d z_i
-            dz[:, h:2 * h] = dc * c_prev * dsigmoid_from_y(f)  # d z_f
-            dz[:, 2 * h:3 * h] = dc * i * dtanh_from_y(g)      # d z_g
-            dz[:, 3 * h:] = dh * tc * dsigmoid_from_y(o)       # d z_o
-
-            dwx += x[:, t, :].T @ dz
-            dwh += h_prev.T @ dz
-            db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ wx.T
-            dh_next = dz @ wh.T
-            dc_next = dc * f
-
-        self.grads["Wx"] += dwx
-        self.grads["Wh"] += dwh
-        self.grads["b"] += db
-        return [dx]
-
-    # ------------------------------------------------------------------
-    # Fused path — the training hot path (see repro.nn.fused).
+    # Fused kernels (shape rule and contract: repro.nn.fused).
     # ------------------------------------------------------------------
     def _buffers(self, batch: int, steps: int, in_dim: int) -> dict:
         h = self.units
@@ -213,7 +113,8 @@ class LSTMLayer(Layer):
                 "dxt": np.empty((steps * batch, in_dim)),
             })
 
-    def _forward_fused(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, inputs, training: bool = False) -> np.ndarray:
+        x = self._check_single_input(inputs)
         batch, steps, in_dim = x.shape
         h = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
@@ -222,7 +123,7 @@ class LSTMLayer(Layer):
         gates, tanh_c = bufs["gates"], bufs["tanh_c"]
 
         # Input projection for all timesteps, hoisted out of the loop.
-        # This is the REFERENCE's exact call (the batched 3-D matmul):
+        # This is the reference cell's exact call (the batched 3-D matmul):
         # a differently shaped GEMM over the same data — flat (B*T)
         # rows, or one per-gate column block — is NOT bitwise safe in
         # general (BLAS and the batch-invariant gufunc both pick
@@ -262,7 +163,7 @@ class LSTMLayer(Layer):
             tc = np.tanh(c, out=tanh_c[t])
             np.multiply(gate[3], tc, out=hs[t])        # o * tanh(c)
             h_prev, c_prev = hs[t], c
-        self._cache = ("fused", x, hs, cs, gates, tanh_c)
+        self._cache = (x, hs, cs, gates, tanh_c)
         # Always a fresh copy: for singleton batch/steps the transpose
         # is already contiguous and ``ascontiguousarray`` would hand the
         # caller a *view into the pooled scratch* that the next forward
@@ -271,9 +172,11 @@ class LSTMLayer(Layer):
         np.copyto(out, hs.transpose(1, 0, 2))
         return out
 
-    def _backward_fused(self, cache, grad_output: np.ndarray
-                        ) -> list[np.ndarray]:
-        _, x, hs, cs, gates, tanh_c = cache
+    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        x, hs, cs, gates, tanh_c = self._cache
+        self._cache = None
         batch, steps, in_dim = x.shape
         h = self.units
         wx, wh = self.params["Wx"], self.params["Wh"]
@@ -346,7 +249,7 @@ class LSTMLayer(Layer):
 
         # Cache-blocked accumulation: dWx, db and dWh drop out of ONE
         # stacked GEMM against [x | 1 | h_{t-1}] (reassociates the
-        # t-reduction; <= 1e-12 from the reference path, see
+        # t-reduction; <= 1e-12 from the reference cell, see
         # repro.nn.fused), dx out of a second.
         obs.counter_add("nn/fused_bptt_gemms", 2 + steps)
         dz_flat = dzs.reshape(steps * batch, 4 * h)

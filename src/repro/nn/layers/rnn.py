@@ -3,10 +3,11 @@
 ``h_t = tanh(x_t Wx + h_{t-1} Wh + b)`` — the lightest recurrent cell in
 the extended operation catalog (see :mod:`repro.nn.layers.gru`).
 
-Weight layout: ``Wx (F, H)``, ``Wh (H, H)``, ``b (H,)``. Reference and
-fused implementations coexist (:mod:`repro.nn.fused`); with a single
-gate there is nothing to stack, so the fused path is pure buffer reuse
-plus cache-blocked BPTT accumulation.
+Weight layout: ``Wx (F, H)``, ``Wh (H, H)``, ``b (H,)``. The kernel is
+fused (:mod:`repro.nn.fused`) and held to the reference cell in
+``tests/reference_cells.py``; with a single gate there is nothing to
+stack, so the fusion is pure buffer reuse plus cache-blocked BPTT
+accumulation.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.nn.activations import dtanh_from_y
 from repro.nn.detmath import recurrent_matmul
-from repro.nn.fused import ScratchPool, fused_enabled, ones_column
+from repro.nn.fused import ScratchPool, ones_column
 from repro.nn.initializers import glorot_uniform, orthogonal
 from repro.nn.layers.base import Layer
 from repro.utils.rng import as_generator
@@ -49,64 +49,7 @@ class SimpleRNNLayer(Layer):
         return self.units
 
     # ------------------------------------------------------------------
-    def forward(self, inputs, training: bool = False) -> np.ndarray:
-        x = self._check_single_input(inputs)
-        if fused_enabled():
-            return self._forward_fused(x)
-        return self._forward_reference(x)
-
-    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cache = self._cache
-        self._cache = None
-        if cache[0] == "fused":
-            return self._backward_fused(cache, grad_output)
-        return self._backward_reference(cache, grad_output)
-
-    # ------------------------------------------------------------------
-    # Reference path — ground truth of the differential suite.
-    # ------------------------------------------------------------------
-    def _forward_reference(self, x: np.ndarray) -> np.ndarray:
-        batch, steps, _ = x.shape
-        wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-        hs = np.zeros((steps, batch, self.units))
-        x_proj = x @ wx + b
-        # One input-projection GEMM + one recurrent GEMM per step.
-        obs.counter_add("nn/gemms", 1 + steps)
-        h_prev = np.zeros((batch, self.units))
-        for t in range(steps):
-            h_prev = np.tanh(x_proj[:, t, :] + recurrent_matmul(h_prev, wh))
-            hs[t] = h_prev
-        self._cache = ("ref", x, hs)
-        return np.ascontiguousarray(hs.transpose(1, 0, 2))
-
-    def _backward_reference(self, cache, grad_output: np.ndarray
-                            ) -> list[np.ndarray]:
-        _, x, hs = cache
-        batch, steps, _ = x.shape
-        wx, wh = self.params["Wx"], self.params["Wh"]
-        grad_out = grad_output.transpose(1, 0, 2)
-        dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros_like(self.params["b"])
-        dx = np.zeros_like(x)
-        dh_next = np.zeros((batch, self.units))
-        for t in range(steps - 1, -1, -1):
-            h_prev = hs[t - 1] if t > 0 else np.zeros((batch, self.units))
-            dpre = (grad_out[t] + dh_next) * dtanh_from_y(hs[t])
-            dwx += x[:, t, :].T @ dpre
-            dwh += h_prev.T @ dpre
-            db += dpre.sum(axis=0)
-            dx[:, t, :] = dpre @ wx.T
-            dh_next = dpre @ wh.T
-        self.grads["Wx"] += dwx
-        self.grads["Wh"] += dwh
-        self.grads["b"] += db
-        return [dx]
-
-    # ------------------------------------------------------------------
-    # Fused path — the training hot path (see repro.nn.fused).
+    # Fused kernels (shape rule and contract: repro.nn.fused).
     # ------------------------------------------------------------------
     def _buffers(self, batch: int, steps: int, in_dim: int) -> dict:
         units = self.units
@@ -130,13 +73,14 @@ class SimpleRNNLayer(Layer):
                 "dxf": np.empty((steps * batch, in_dim)),
             })
 
-    def _forward_fused(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, inputs, training: bool = False) -> np.ndarray:
+        x = self._check_single_input(inputs)
         batch, steps, in_dim = x.shape
         units = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         bufs = self._buffers(batch, steps, in_dim)
         hs = bufs["hs"]
-        # Input projection: the REFERENCE's exact batched 3-D matmul —
+        # Input projection: the reference cell's exact batched 3-D matmul —
         # a differently shaped GEMM over the same data is not bitwise
         # safe in general (M/N-dependent kernels reorder the
         # K-reduction; small odd shapes expose it).
@@ -153,7 +97,7 @@ class SimpleRNNLayer(Layer):
             recurrent_matmul(h_prev, wh, out=pre)
             pre += xp[:, t, :]
             h_prev = np.tanh(pre, out=hs[t])
-        self._cache = ("fused", x, hs)
+        self._cache = (x, hs)
         # Always a fresh copy: for singleton batch/steps the transpose
         # is already contiguous and ``ascontiguousarray`` would hand the
         # caller a *view into the pooled scratch* that the next forward
@@ -162,9 +106,11 @@ class SimpleRNNLayer(Layer):
         np.copyto(out, hs.transpose(1, 0, 2))
         return out
 
-    def _backward_fused(self, cache, grad_output: np.ndarray
-                        ) -> list[np.ndarray]:
-        _, x, hs = cache
+    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        x, hs = self._cache
+        self._cache = None
         batch, steps, in_dim = x.shape
         units = self.units
         wx, wh = self.params["Wx"], self.params["Wh"]

@@ -7,39 +7,20 @@ acyclicity and supplies the topological order. Backward traverses the
 reverse order, summing gradient contributions from every consumer of a
 node (the fan-out rule for skip connections).
 
-Forward can optionally run uncorrelated nodes concurrently
-(``parallel=True``): a completion-driven scheduler submits every node
-whose inputs are available to a thread pool, so independent branches of
-a skip-connected architecture overlap (NumPy releases the GIL inside
-BLAS). The result is **bitwise identical** to the serial walk — the
-scheduler only reorders *which node* runs when; each node's arithmetic,
-operands and kernels are exactly the serial ones, and a node (hence its
-layer instance and scratch pool) is never entered concurrently. Backward
-always runs serially: gradient fan-in sums contributions in topological
-order, and reordering *that* would reassociate additions.
-
-Both execution modes share :meth:`Network.live_spans` — a live-variable
-analysis over the topological order — to drop node outputs as soon as
-their last consumer has read them, bounding peak activation memory on
-deep graphs.
+Forward walks the topological order one node at a time and uses
+:meth:`Network.live_spans` — a live-variable analysis over that order —
+to drop node outputs as soon as their last consumer has read them,
+bounding peak activation memory on deep graphs.
 """
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
 
-from repro import obs
-from repro.nn.detmath import batch_invariant, batch_invariant_enabled
-from repro.nn.fused import fused_enabled, fused_kernels
 from repro.nn.layers.base import Layer
 from repro.utils.rng import as_generator
 
@@ -73,23 +54,12 @@ class Network:
     rng:
         Seed/generator for weight initialization — build order is
         deterministic (insertion order), so a fixed seed reproduces weights.
-    parallel:
-        ``False`` (default): forward walks the topological order
-        serially. ``True``: uncorrelated nodes run concurrently on a
-        thread pool (auto-sized); an ``int`` pins the worker count.
-        Either way the output is bitwise identical — see module
-        docstring.
     """
 
-    def __init__(self, input_dim: int, rng=None,
-                 parallel: bool | int = False) -> None:
+    def __init__(self, input_dim: int, rng=None) -> None:
         if input_dim <= 0:
             raise ValueError(f"input_dim must be positive, got {input_dim}")
-        if not isinstance(parallel, bool) and parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {parallel}")
         self.input_dim = int(input_dim)
-        self.parallel = parallel
-        self._executor: ThreadPoolExecutor | None = None
         self._rng = as_generator(rng)
         self._graph = nx.DiGraph()
         self._graph.add_node(INPUT)
@@ -181,11 +151,6 @@ class Network:
             raise ValueError(
                 f"expected input of shape (B, T, {self.input_dim}), "
                 f"got {x.shape}")
-        if self.parallel:
-            return self._forward_parallel(x, training)
-        return self._forward_serial(x, training)
-
-    def _forward_serial(self, x: np.ndarray, training: bool) -> np.ndarray:
         order = self.topological_order
         spans = self.live_spans()
         free_at: dict[int, list[str]] = defaultdict(list)
@@ -204,92 +169,6 @@ class Network:
             for dead in free_at.get(i, ()):
                 values.pop(dead, None)
         return values[self.output_name]
-
-    def _forward_parallel(self, x: np.ndarray, training: bool) -> np.ndarray:
-        """Completion-driven scheduling of uncorrelated nodes.
-
-        The main thread owns all bookkeeping (dependency counts, the
-        values dict); workers only run ``layer.forward`` and report back
-        through a queue, so no lock guards the graph state. The caller's
-        thread-local kernel modes (fused/reference, batch-invariant) are
-        captured once and re-entered inside every worker — a pool thread
-        has no context of its own.
-        """
-        order = self.topological_order
-        specs = self._specs
-        fused = fused_enabled()
-        invariant = batch_invariant_enabled()
-        executor = self._get_executor()
-        completed: queue.Queue = queue.Queue()
-        values: dict[str, np.ndarray] = {INPUT: x}
-        self._values_shapes = {INPUT: x.shape}
-
-        def run(name: str) -> None:
-            try:
-                with fused_kernels(fused), \
-                        (batch_invariant() if invariant else nullcontext()):
-                    spec = specs[name]
-                    inputs = [values[src] for src in spec.inputs]
-                    out = spec.layer.forward(inputs, training=training)
-                completed.put((name, out, None))
-            except BaseException as error:  # propagated by the main thread
-                completed.put((name, None, error))
-
-        waiting = {name: {src for src in specs[name].inputs if src != INPUT}
-                   for name in order}
-        consumers: dict[str, list[str]] = defaultdict(list)
-        remaining_uses: dict[str, int] = defaultdict(int)
-        for name in order:
-            for src in set(specs[name].inputs):
-                consumers[src].append(name)
-                remaining_uses[src] += 1
-        ready = [name for name in order if not waiting[name]]
-        max_ready = len(ready)
-        for name in ready:
-            executor.submit(run, name)
-        n_done = 0
-        while n_done < len(order):
-            name, out, error = completed.get()
-            if error is not None:
-                raise error
-            values[name] = out
-            self._values_shapes[name] = out.shape
-            n_done += 1
-            # Free values whose last consumer has now read them.
-            for src in set(specs[name].inputs):
-                remaining_uses[src] -= 1
-                if remaining_uses[src] == 0 and src != self.output_name:
-                    values.pop(src, None)
-            newly_ready = []
-            for consumer in consumers[name]:
-                deps = waiting[consumer]
-                deps.discard(name)
-                if not deps:
-                    newly_ready.append(consumer)
-            max_ready = max(max_ready, len(newly_ready))
-            for nxt in newly_ready:
-                executor.submit(run, nxt)
-        obs.counter_add("nn/dag_parallel_runs")
-        obs.counter_add("nn/dag_parallel_nodes", len(order))
-        obs.gauge_set("nn/dag_parallel_max_ready", max_ready)
-        return values[self.output_name]
-
-    def _get_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            if self.parallel is True:
-                workers = min(8, max(2, os.cpu_count() or 1),
-                              max(1, len(self._specs)))
-            else:
-                workers = int(self.parallel)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-dag")
-        return self._executor
-
-    def __getstate__(self):
-        """Thread pools don't pickle; a worker rebuilds one on demand."""
-        state = self.__dict__.copy()
-        state["_executor"] = None
-        return state
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate dL/d(output); accumulates layer grads and returns

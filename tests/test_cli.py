@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestCLI:
@@ -34,6 +38,24 @@ class TestCLI:
         out = capsys.readouterr().out
         for flag in ("--quick", "--reps", "--out", "--filter", "--obs"):
             assert flag in out
+
+    @pytest.mark.parametrize("absolute_out", [False, True],
+                             ids=["same-string", "relative-vs-absolute"])
+    def test_bench_compare_refuses_to_overwrite_its_baseline(
+            self, tmp_path, monkeypatch, absolute_out):
+        """--out is written before the comparison runs, so a baseline
+        that is also the output would be clobbered (and the next gate
+        would compare against a one-entry file). Refused before timing,
+        with the rejected-baseline exit code."""
+        baseline = tmp_path / "BENCH_core.json"
+        baseline.write_bytes((REPO / "BENCH_core.json").read_bytes())
+        before = baseline.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        out = str(baseline) if absolute_out else "BENCH_core.json"
+        assert main(["bench", "--quick", "--reps", "1", "--filter",
+                     "rnn_fwd", "--out", out,
+                     "--compare", "BENCH_core.json"]) == 2
+        assert baseline.read_bytes() == before
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SystemExit):

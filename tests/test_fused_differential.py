@@ -1,17 +1,19 @@
-"""Differential numerics harness: fused kernels vs the reference path.
+"""Differential numerics harness: fused kernels vs the reference cells.
 
 The fused recurrent kernels (repro.nn.fused; lstm/gru/rnn layers) are
-only allowed to exist because of this suite. The contract they are held
-to, across every cell, a grid of shapes (including B=1, T=1, F != H,
-odd/non-SIMD sizes) and both detmath modes:
+only allowed to exist because of this suite. The oracle is
+tests/reference_cells.py. The contract the kernels are held to, across
+every cell, a grid of shapes (including B=1, T=1, F != H, odd/non-SIMD
+sizes) and both detmath modes:
 
-* **forward is bitwise identical** to the reference implementation —
-  compared on raw bit patterns, not with a tolerance;
+* **forward is bitwise identical** to the reference cell — compared on
+  raw bit patterns, not with a tolerance;
 * **backward gradients agree to <= 1e-12** max-abs-diff (the
   cache-blocked accumulation reassociates the timestep reduction;
   everything else is the reference arithmetic in the reference order);
-* flipping kernels or batch-invariant mode between calls never corrupts
-  a layer's pooled scratch state, and repeated calls are self-identical;
+* alternating the oracle and the kernel, or the batch-invariant mode,
+  between calls never corrupts a layer's pooled scratch state, and
+  repeated calls are self-identical;
 * layer outputs are always fresh arrays — never views into pooled
   scratch a later forward would overwrite (the B=1 aliasing regression).
 
@@ -31,11 +33,10 @@ import numpy as np
 import pytest
 
 from repro.nn.detmath import batch_invariant
-from repro.nn.fused import (fused_enabled, fused_kernels, reference_kernels,
-                            set_fused_default)
 from repro.nn.layers import (AddLayer, DenseLayer, GRULayer, LSTMLayer,
                              SimpleRNNLayer)
 from repro.nn.model import Network
+from tests.reference_cells import reference_path
 
 CELLS = [LSTMLayer, GRULayer, SimpleRNNLayer]
 CELL_IDS = ["lstm", "gru", "rnn"]
@@ -72,9 +73,17 @@ def _build(cls, shape, seed_salt=0):
     return layer, x, grad_out
 
 
+def _kernels(layer, fused):
+    return contextlib.nullcontext() if fused else reference_path(layer)
+
+
+def _layers(net):
+    return [net.layer(name) for name in net.node_names]
+
+
 def _run(layer, x, grad_out, *, fused, invariant):
     """One forward+backward pass; returns (y, dx, {param: grad})."""
-    with _mode(invariant), fused_kernels(fused):
+    with _mode(invariant), _kernels(layer, fused):
         y = layer.forward([x])
         layer.zero_grads()
         (dx,) = layer.backward(grad_out)
@@ -89,12 +98,11 @@ class TestForwardBitwise:
     def test_fused_forward_is_bitwise_reference(self, cls, shape, invariant):
         layer, x, _ = _build(cls, shape)
         with _mode(invariant):
-            with reference_kernels():
+            with reference_path(layer):
                 y_ref = layer.forward([x])
                 layer._cache = None
-            with fused_kernels():
-                y_fused = layer.forward([x])
-                layer._cache = None
+            y_fused = layer.forward([x])
+            layer._cache = None
         # Bit patterns, not tolerances: signed zeros, NaN payloads and
         # the last ulp all count.
         np.testing.assert_array_equal(y_ref.view(np.uint8),
@@ -159,7 +167,7 @@ class TestScratchRobustness:
                 np.testing.assert_array_equal(got, want)
 
     def test_mode_flip_between_calls_is_safe(self):
-        """Alternating fused/reference and plain/invariant between
+        """Alternating kernel/oracle and plain/invariant between
         calls reuses the same layer (and pool) without contamination.
         (Plain and invariant legitimately differ for B > 1 — the
         comparison is always within the same detmath mode.)"""
@@ -180,28 +188,13 @@ class TestScratchRobustness:
         for name in g0:
             assert np.abs(g[name] - g0[name]).max() <= 1e-12
 
-    def test_backward_matches_its_own_forward_mode(self):
-        """The cache records which path filled it; flipping the flag
-        between forward and backward must not mix implementations."""
-        layer, x, grad_out = _build(GRULayer, (2, 3, 4, 5))
-        _, dx_ref, g_ref = _run(layer, x, grad_out,
-                                fused=False, invariant=False)
-        with reference_kernels():
-            layer.forward([x])
-        layer.zero_grads()
-        with fused_kernels():  # flag flipped after forward
-            (dx,) = layer.backward(grad_out)
-        np.testing.assert_array_equal(dx, dx_ref)
-        for name in g_ref:
-            np.testing.assert_array_equal(layer.grads[name], g_ref[name])
-
     def test_shape_change_rebuilds_buffers(self):
         layer = LSTMLayer(6)
         layer.build([4], rng=0)
         rng = np.random.default_rng(9)
         for shape in [(2, 3, 4), (5, 7, 4), (1, 1, 4), (2, 3, 4)]:
             x = rng.standard_normal(shape)
-            with reference_kernels():
+            with reference_path(layer):
                 want = layer.forward([x])
                 layer._cache = None
             got = layer.forward([x])
@@ -209,26 +202,12 @@ class TestScratchRobustness:
             np.testing.assert_array_equal(want, got)
 
 
-class TestDefaultSwitch:
-    def test_process_default_and_context_interact(self):
-        assert fused_enabled()  # repo default is fused
-        try:
-            set_fused_default(False)
-            assert not fused_enabled()
-            with fused_kernels():
-                assert fused_enabled()
-            assert not fused_enabled()
-        finally:
-            set_fused_default(True)
-        assert fused_enabled()
-
-
 class TestNetworkLevel:
-    """A hybrid skip-connected DAG run end to end under every mode
-    combination — fused/reference x serial/parallel — stays bitwise."""
+    """A hybrid skip-connected DAG run end to end on the kernels and on
+    the oracle stays bitwise (forward) and within budget (backward)."""
 
-    def _hybrid(self, parallel=False):
-        net = Network(input_dim=5, rng=3, parallel=parallel)
+    def _hybrid(self):
+        net = Network(input_dim=5, rng=3)
         net.add_node("l1", LSTMLayer(6), ["input"])
         net.add_node("g1", GRULayer(6), ["l1"])
         net.add_node("proj", DenseLayer(6), ["l1"])
@@ -241,29 +220,22 @@ class TestNetworkLevel:
     def test_network_forward_bitwise_all_modes(self):
         x = np.random.default_rng(4).standard_normal((3, 8, 5))
         net = self._hybrid()
-        with reference_kernels():
+        with reference_path(*_layers(net)):
             want = net.forward(x)
-        with fused_kernels():
-            np.testing.assert_array_equal(net.forward(x), want)
-        par = self._hybrid(parallel=True)
-        par.set_weights(net.get_weights())
-        np.testing.assert_array_equal(par.forward(x), want)
-        with reference_kernels():
-            np.testing.assert_array_equal(par.forward(x), want)
+        np.testing.assert_array_equal(net.forward(x), want)
 
     def test_network_training_step_equivalent(self):
         x = np.random.default_rng(6).standard_normal((4, 6, 5))
         grad = np.random.default_rng(7).standard_normal((4, 6, 5))
         ref_net, fused_net = self._hybrid(), self._hybrid()
         fused_net.set_weights(ref_net.get_weights())
-        with reference_kernels():
+        with reference_path(*_layers(ref_net)):
             ref_net.forward(x, training=True)
             ref_net.zero_grads()
             dx_ref = ref_net.backward(grad)
-        with fused_kernels():
-            fused_net.forward(x, training=True)
-            fused_net.zero_grads()
-            dx_fused = fused_net.backward(grad)
+        fused_net.forward(x, training=True)
+        fused_net.zero_grads()
+        dx_fused = fused_net.backward(grad)
         assert np.abs(dx_ref - dx_fused).max() <= 1e-12
         ref_grads = [g for _, g in ref_net.parameters_and_gradients()]
         fused_grads = [g for _, g in fused_net.parameters_and_gradients()]

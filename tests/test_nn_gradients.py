@@ -4,14 +4,16 @@ These are the load-bearing tests of the NN substrate: exact BPTT is what
 makes the from-scratch framework equivalent to the paper's TF/Keras runs.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.nas.space.ops import default_operations, hybrid_operations
 from repro.nn import AddLayer, DenseLayer, LSTMLayer, Network
-from repro.nn.fused import fused_kernels
 from repro.nn.layers import GRULayer, IdentityLayer, SimpleRNNLayer
 from repro.nn.losses import MeanSquaredError
+from tests.reference_cells import reference_path
 
 LOSS = MeanSquaredError()
 
@@ -248,11 +250,17 @@ class TestSearchSpaceOpGradients:
         layer.build([5], rng=0)
         probe_gradient_check(layer, [rng.standard_normal((2, 4, 5))], rng)
 
+
+def _kernels(layer, fused):
+    return contextlib.nullcontext() if fused else reference_path(layer)
+
+
 class TestRecurrentGradientsBothKernels:
-    """Finite differences against the fused AND the reference kernels
-    for every cell, at rectangular (in_dim != units) sizes in both
-    directions — the fused BPTT's stacked accumulation GEMMs are shape-
-    sensitive, so a square-only check would miss transposition bugs."""
+    """Finite differences against the fused kernels AND the reference
+    cells (tests/reference_cells.py) for every cell, at rectangular
+    (in_dim != units) sizes in both directions — the fused BPTT's
+    stacked accumulation GEMMs are shape-sensitive, so a square-only
+    check would miss transposition bugs."""
 
     RECT_CELLS = [
         (LSTMLayer, 2, 7),   # narrow input, wide state
@@ -271,7 +279,7 @@ class TestRecurrentGradientsBothKernels:
     def test_rectangular_cell(self, cls, in_dim, units, fused, rng):
         layer = cls(units)
         layer.build([in_dim], rng=0)
-        with fused_kernels(fused):
+        with _kernels(layer, fused):
             check_layer_gradients(
                 layer, [rng.standard_normal((2, 4, in_dim))], rng,
                 atol=2e-6)
@@ -282,7 +290,7 @@ class TestRecurrentGradientsBothKernels:
         """B=1/T=1 corners exercise the pooled-scratch edge cases."""
         layer = LSTMLayer(4)
         layer.build([3], rng=1)
-        with fused_kernels(fused):
+        with _kernels(layer, fused):
             check_layer_gradients(
                 layer, [rng.standard_normal((1, 1, 3))], rng, atol=2e-6)
 

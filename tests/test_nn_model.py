@@ -176,11 +176,11 @@ class TestParameters:
         assert "l1" in text and "out" in text and "LSTMLayer" in text
 
 
-def diamond_net(parallel=False, rng_seed=5):
+def diamond_net(rng_seed=5):
     """input -> a -> {b1, b2} -> merge -> out: two branches with no
-    edge between them — the canonical concurrency opportunity."""
+    edge between them."""
     from repro.nn.layers import GRULayer, SimpleRNNLayer
-    net = Network(input_dim=3, rng=rng_seed, parallel=parallel)
+    net = Network(input_dim=3, rng=rng_seed)
     net.add_node("a", LSTMLayer(4), ["input"])
     net.add_node("b1", GRULayer(4), ["a"])
     net.add_node("b2", SimpleRNNLayer(4), ["a"])
@@ -224,93 +224,3 @@ class TestTopologyAnalysis:
         net = simple_net()
         spans = net.live_spans()
         assert spans == {"input": 0, "l1": 1, "out": 1}
-
-
-class TestParallelExecution:
-    def test_parallel_forward_bitwise_equals_serial(self, rng):
-        x = rng.standard_normal((4, 6, 3))
-        serial = diamond_net(parallel=False)
-        parallel = diamond_net(parallel=True)
-        parallel.set_weights(serial.get_weights())
-        want = serial.forward(x)
-        got = parallel.forward(x)
-        np.testing.assert_array_equal(got.view(np.uint8),
-                                      want.view(np.uint8))
-
-    def test_parallel_training_step_bitwise(self, rng):
-        """training=True forward + backward under the parallel
-        scheduler produce bit-identical gradients (backward itself is
-        serial; the parallel forward must leave identical caches)."""
-        x = rng.standard_normal((3, 5, 3))
-        grad = rng.standard_normal((3, 5, 3))
-        serial = diamond_net(parallel=False)
-        parallel = diamond_net(parallel=True)
-        parallel.set_weights(serial.get_weights())
-        for net in (serial, parallel):
-            net.forward(x, training=True)
-            net.zero_grads()
-        dx_s = serial.backward(grad)
-        dx_p = parallel.backward(grad)
-        np.testing.assert_array_equal(dx_s, dx_p)
-        for (_, gs), (_, gp) in zip(serial.parameters_and_gradients(),
-                                    parallel.parameters_and_gradients(),
-                                    strict=True):
-            np.testing.assert_array_equal(gs, gp)
-
-    def test_parallel_repeated_runs_stable(self, rng):
-        net = diamond_net(parallel=True)
-        x = rng.standard_normal((2, 4, 3))
-        first = net.forward(x)
-        for _ in range(5):
-            np.testing.assert_array_equal(net.forward(x), first)
-
-    def test_parallel_worker_count_validation(self):
-        with pytest.raises(ValueError, match="parallel"):
-            Network(input_dim=3, parallel=-1)
-        with pytest.raises(ValueError, match="parallel"):
-            Network(input_dim=3, parallel=0)
-
-    def test_parallel_int_pins_worker_count(self, rng):
-        net = diamond_net(parallel=2)
-        serial = diamond_net(parallel=False)
-        net.set_weights(serial.get_weights())
-        x = rng.standard_normal((2, 3, 3))
-        np.testing.assert_array_equal(net.forward(x), serial.forward(x))
-
-    def test_parallel_worker_error_propagates(self):
-        net = diamond_net(parallel=True)
-        with pytest.raises(ValueError, match="expected input"):
-            net.forward(np.zeros((2, 3, 7)))
-
-    def test_parallel_network_pickles_without_executor(self, rng):
-        import pickle
-        net = diamond_net(parallel=True)
-        x = rng.standard_normal((2, 3, 3))
-        want = net.forward(x)  # instantiates the executor
-        clone = pickle.loads(pickle.dumps(net))
-        assert clone.parallel is True
-        np.testing.assert_array_equal(clone.forward(x), want)
-
-    def test_parallel_batch_invariant_propagates_to_workers(self, rng):
-        """detmath mode is thread-local; the scheduler must re-enter
-        the caller's mode inside every worker thread."""
-        from repro.nn.detmath import batch_invariant
-        x = rng.standard_normal((1, 4, 3))
-        serial = diamond_net(parallel=False)
-        parallel = diamond_net(parallel=True)
-        parallel.set_weights(serial.get_weights())
-        with batch_invariant():
-            want = serial.forward(x)
-            got = parallel.forward(x)
-        np.testing.assert_array_equal(got.view(np.uint8),
-                                      want.view(np.uint8))
-
-    def test_parallel_obs_counters(self, rng):
-        from repro import obs
-        obs.enable()
-        net = diamond_net(parallel=True)
-        net.forward(rng.standard_normal((2, 3, 3)))
-        registry = obs.get_registry()
-        assert registry.counters["nn/dag_parallel_runs"].value == 1
-        assert registry.counters["nn/dag_parallel_nodes"].value == 5
-        assert registry.gauges["nn/dag_parallel_max_ready"].last >= 2

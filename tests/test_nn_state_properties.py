@@ -3,7 +3,7 @@
 Complements the example-based differential suite
 (tests/test_fused_differential.py) with *generated* shapes and inputs.
 Each property is a mathematical fact about the cell equations, so it
-must hold for any weights and any input — and for both kernel paths:
+must hold for any weights and any input:
 
 * LSTM: ``h_t = o * tanh(c_t)`` bounds ``|h| <= 1``; with sigmoid gates
   in (0, 1), ``|c_t| <= f*|c_{t-1}| + i*|g|  <=  |c_{t-1}| + 1``, so
@@ -14,7 +14,8 @@ must hold for any weights and any input — and for both kernel paths:
 * SimpleRNN: ``h = tanh(...)`` gives ``|h| <= 1`` trivially.
 * All cells: zero input with zero bias stays exactly at the zero fixed
   point; outputs are always finite for finite inputs; and the fused
-  path agrees bitwise with the reference on every generated case (the
+  kernel agrees bitwise with the reference cell
+  (tests/reference_cells.py) on every generated case (the
   property-level restatement of the differential contract).
 
 The ``@example`` pins are regression anchors: shapes that caught real
@@ -27,8 +28,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.nn.fused import fused_kernels, reference_kernels
 from repro.nn.layers import GRULayer, LSTMLayer, SimpleRNNLayer
+from tests.reference_cells import reference_path
 
 # Small bounded shapes keep each case ~milliseconds; the differential
 # suite covers the big benchmark shape.
@@ -43,15 +44,14 @@ COMMON = dict(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
 
-def _forward(cls, shape, seed, *, fused=True, scale=1.0):
+def _forward(cls, shape, seed, *, scale=1.0):
     batch, steps, in_dim, units = shape
     rng = np.random.default_rng(seed)
     layer = cls(units)
     layer.build([in_dim], rng=rng)
     x = scale * rng.standard_normal((batch, steps, in_dim))
-    with fused_kernels(fused):
-        y = layer.forward([x])
-        layer._cache = None
+    y = layer.forward([x])
+    layer._cache = None
     return layer, x, y
 
 
@@ -76,7 +76,7 @@ class TestLSTMStateInvariants:
         layer.build([in_dim], rng=rng)
         x = 3.0 * rng.standard_normal((batch, steps, in_dim))
         layer.forward([x], training=True)
-        cs = layer._cache[3]  # (T, B, H) cell states
+        cs = layer._cache[2]  # (T, B, H) cell states
         for t in range(steps):
             assert np.all(np.abs(cs[t]) <= t + 1.0 + 1e-12), f"step {t}"
 
@@ -142,7 +142,7 @@ class TestFusedReferenceProperty:
     @settings(**COMMON)
     def test_forward_bitwise(self, cls, shape, seed):
         layer, x, y_fused = _forward(cls, shape, seed)
-        with reference_kernels():
+        with reference_path(layer):
             y_ref = layer.forward([x])
             layer._cache = None
         np.testing.assert_array_equal(y_fused.view(np.uint8),

@@ -296,8 +296,8 @@ class TestZeroBehaviourChangeGuard:
         reg = obs.get_registry()
         assert reg.scopes["train/epoch"].n_calls == 3
         assert reg.counters["train/examples"].value == 3 * 32
-        # The recurrent hot path counts its GEMMs under nn/fused_gemms
-        # (nn/gemms when the reference kernels are selected instead).
+        # The recurrent kernels count their GEMMs under nn/fused_gemms;
+        # nn/gemms counts the Dense layers'.
         gemms = sum(c.value for name, c in reg.counters.items()
                     if name in ("nn/gemms", "nn/fused_gemms"))
         assert gemms > 0

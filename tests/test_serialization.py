@@ -107,24 +107,14 @@ class TestLegacyNetworkFixtures:
     def test_legacy_network_reference_path_also_bitwise(self):
         from pathlib import Path
 
-        from repro.nn.fused import reference_kernels
+        from tests.reference_cells import reference_path
         data = Path(__file__).parent / "data"
         net = load_network(data / "legacy_network.npz")
         x = np.load(data / "legacy_network_input.npy")
         want = np.load(data / "legacy_network_forward.npy")
-        with reference_kernels():
+        with reference_path(*(net.layer(n) for n in net.node_names)):
             got = net.forward(x)
         np.testing.assert_array_equal(got.view(np.uint8),
-                                      want.view(np.uint8))
-
-    def test_legacy_network_parallel_dag_bitwise(self):
-        from pathlib import Path
-        data = Path(__file__).parent / "data"
-        net = load_network(data / "legacy_network.npz")
-        net.parallel = True
-        x = np.load(data / "legacy_network_input.npy")
-        want = np.load(data / "legacy_network_forward.npy")
-        np.testing.assert_array_equal(net.forward(x).view(np.uint8),
                                       want.view(np.uint8))
 
     def test_legacy_network_save_load_roundtrip_stable(self, tmp_path):
