@@ -352,6 +352,11 @@ def run_asynchronous_search(algorithm: SearchAlgorithm, evaluator: Evaluator,
             end = _campaign_end(queue, partition, walltime)
             _drive(queue, end, checkpoint, payload)
     finally:
+        # The final checkpoint (written by _drive) has recorded the
+        # look-ahead still in flight; a resume re-submits it, so this
+        # run withdraws it instead of leaving it on a caller's pool.
+        if feed is not None:
+            feed.cancel()
         if owned and backend is not None:
             backend.close()
     _record_run_metrics(tracker, partition, run_scope.elapsed_s)

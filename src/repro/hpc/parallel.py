@@ -30,7 +30,8 @@ hung a worker would hang the parent too) and finally surfaces as a
 (``metadata["failed"]``, punishment reward) rather than an exception, so
 the event queue keeps draining. If the pool cannot be built at all (no
 ``fork``/``spawn``, resource limits), the backend degrades whole-sale to
-in-process serial evaluation.
+in-process serial evaluation. A *cancelled* task (``cancel``) is never
+retried and never becomes a failure result on any of these paths.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class EvaluationBackend:
 
     ``submit`` registers an architecture + task seed and returns an
     integer handle; ``gather`` blocks until that task's
-    :class:`EvaluationResult` is available. Implementations must be
-    deterministic in ``(architecture, seed)`` only — never in scheduling.
+    :class:`EvaluationResult` is available; ``cancel`` withdraws a task
+    that will never be gathered. Implementations must be deterministic
+    in ``(architecture, seed)`` only — never in scheduling.
     """
 
     def __init__(self, evaluator: Evaluator) -> None:
@@ -81,6 +83,16 @@ class EvaluationBackend:
         raise NotImplementedError
 
     def gather(self, handle: int) -> EvaluationResult:
+        raise NotImplementedError
+
+    def cancel(self, handle: int) -> None:
+        """Withdraw a task whose result will never be gathered.
+
+        The handle is forgotten at once (``gather`` then raises
+        ``KeyError``). Work not yet started never runs; work already
+        running finishes and its result is discarded. A cancelled task
+        is never retried and never reported as a failure.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -123,6 +135,10 @@ class SerialEvaluator(EvaluationBackend):
         result = _evaluate_task(self.evaluator, arch, seed, epochs)
         obs.counter_add("parallel/tasks_completed")
         return result
+
+    def cancel(self, handle: int) -> None:
+        del self._pending[handle]
+        obs.counter_add("parallel/tasks_cancelled")
 
 
 def _evaluate_task(evaluator: Evaluator, arch,
@@ -187,6 +203,9 @@ class _Task:
     attempts: int = 0
     worker: "_Worker | None" = None
     dispatched_at: float = field(default=0.0)
+    #: Set by ``cancel``. A task still running on a worker then has its
+    #: result (or fault) discarded when it comes back.
+    cancelled: bool = False
 
 
 class _Worker:
@@ -314,6 +333,18 @@ class ParallelEvaluator(EvaluationBackend):
         obs.counter_add("parallel/tasks_completed")
         return self._done.pop(handle)
 
+    def cancel(self, handle: int) -> None:
+        # A running task keeps its worker until it finishes: killing the
+        # worker would cost a fork plus warm-up and reset its memory
+        # high-water mark. _receive/_replace_worker discard what it
+        # sends back.
+        task = self._tasks.pop(handle)
+        task.cancelled = True
+        self._done.pop(handle, None)
+        if task in self._queue:
+            self._queue.remove(task)
+        obs.counter_add("parallel/tasks_cancelled")
+
     def close(self) -> None:
         if self._closed:
             return
@@ -415,7 +446,8 @@ class ParallelEvaluator(EvaluationBackend):
         if msg[0] == "ok":
             _, handle, result = msg
             worker.task = None
-            if task is not None and handle == task.handle:
+            if task is not None and handle == task.handle \
+                    and not task.cancelled:
                 self._done[handle] = result
         else:
             _, handle, error = msg[0], msg[1], msg[2]
@@ -450,7 +482,7 @@ class ParallelEvaluator(EvaluationBackend):
                 self._degrade()
         else:
             self._workers[self._workers.index(worker)] = replacement
-        if task is None:
+        if task is None or task.cancelled:
             return
         task.worker = None
         task.attempts += 1
@@ -488,12 +520,16 @@ class ParallelEvaluator(EvaluationBackend):
 class TaskFeed:
     """Sequenced ask -> submit -> gather pipeline for the executors.
 
-    Preserves serial ask order (proposal ``k`` is always the ``k``-th
-    ``algorithm.ask()`` and carries task stream ``k``) while keeping up to
-    ``backend.capacity`` evaluations in flight for algorithms that declare
-    ``speculative_ask`` — i.e. whose proposal stream does not depend on
-    pending tells (random search). Feedback-driven algorithms run at depth
-    1: correct, just not overlapped.
+    Preserves serial ask order: proposal ``k`` is always the ``k``-th
+    ``algorithm.ask()`` and carries task stream ``k``. Each
+    :meth:`next_result` asks once if nothing is in flight, then keeps
+    asking ahead, up to ``backend.capacity`` evaluations in flight,
+    while ``algorithm.can_ask_ahead()`` holds, i.e. while the next
+    proposal reads no pending tell. That is every ask of random search
+    and the random initial population of aging evolution and the GA.
+    Every other ask happens at depth 1, when the event loop needs it.
+    :meth:`cancel` withdraws the look-ahead a finished campaign never
+    reads.
     """
 
     def __init__(self, algorithm, backend: EvaluationBackend,
@@ -501,8 +537,6 @@ class TaskFeed:
         self.algorithm = algorithm
         self.backend = backend
         self.task_root = as_seed_sequence(task_root)
-        self.depth = backend.capacity \
-            if getattr(algorithm, "speculative_ask", False) else 1
         self._inflight: deque[tuple[tuple, int]] = deque()
         self._n_issued = 0
 
@@ -513,12 +547,26 @@ class TaskFeed:
 
     def next_result(self):
         """The next ``(architecture, EvaluationResult)`` in ask order."""
-        while len(self._inflight) < max(self.depth, 1):
-            arch = tuple(self.algorithm.ask())
-            handle = self.backend.submit(arch, self.next_sequence())
-            self._inflight.append((arch, handle))
+        if not self._inflight:
+            self._submit(self.algorithm.ask())
+        while len(self._inflight) < self.backend.capacity \
+                and self.algorithm.can_ask_ahead():
+            self._submit(self.algorithm.ask())
         arch, handle = self._inflight.popleft()
         return arch, self.backend.gather(handle)
+
+    def _submit(self, arch) -> None:
+        arch = tuple(arch)
+        handle = self.backend.submit(arch, self.next_sequence())
+        self._inflight.append((arch, handle))
+
+    def cancel(self) -> None:
+        """Withdraw every in-flight task: look-ahead that no campaign
+        event will read once the run stops. Record :meth:`state_dict`
+        first if the campaign is to resume."""
+        while self._inflight:
+            _, handle = self._inflight.popleft()
+            self.backend.cancel(handle)
 
     # ------------------------------------------------------------------
     # Checkpointing (docs/CHECKPOINTING.md)
@@ -553,9 +601,7 @@ class TaskFeed:
             raise ValueError("corrupt feed state: more in-flight tasks "
                              "than issued sequences")
         for arch in inflight:
-            arch = tuple(arch)
-            handle = self.backend.submit(arch, self.next_sequence())
-            self._inflight.append((arch, handle))
+            self._submit(arch)
 
 
 def evaluation_backend(evaluator: Evaluator, workers: int | None,

@@ -62,6 +62,11 @@ class AgingEvolution(SearchAlgorithm):
         self.population: deque[tuple[Architecture, float]] = deque(
             maxlen=self.population_size)
 
+    def can_ask_ahead(self) -> bool:
+        # Asks 1..p draw random_architecture(self.rng) and _observe never
+        # touches the RNG, so a priming ask reads no tell.
+        return self.n_asked < self.population_size
+
     def _propose(self) -> Architecture:
         # Random initialization phase: propose random architectures until
         # enough evaluations have come back to fill the population. Using

@@ -19,19 +19,17 @@ __all__ = ["SearchAlgorithm"]
 
 
 class SearchAlgorithm:
-    """Base class: owns the space, an RNG, and the best-so-far record."""
+    """Base class: owns the space, an RNG, and the best-so-far record.
+
+    Subclasses implement ``_propose``/``_observe``, and override
+    :meth:`can_ask_ahead` for the asks whose proposal reads no pending
+    tell (random search: every ask; aging evolution and the GA: their
+    random initial population).
+    """
 
     #: Whether the algorithm tolerates out-of-order tells (drives which
     #: executor the cluster simulator pairs it with).
     asynchronous: bool = True
-
-    #: Whether the proposal stream is independent of pending tells, i.e.
-    #: the k-th ask() returns the same architecture no matter how many
-    #: results have been reported. Lets the parallel evaluation backend
-    #: issue asks ahead of the event loop and keep a full pool in flight
-    #: (repro.hpc.parallel.TaskFeed). Feedback-driven searches must leave
-    #: this False.
-    speculative_ask: bool = False
 
     def __init__(self, space: StackedLSTMSpace, rng=None) -> None:
         self.space = space
@@ -42,6 +40,19 @@ class SearchAlgorithm:
         self.best_reward = -float("inf")
 
     # -- protocol ----------------------------------------------------------
+    def can_ask_ahead(self) -> bool:
+        """Whether the next :meth:`ask` can be answered without any
+        pending tell.
+
+        True promises that the next proposal is the same architecture
+        whether it is asked now or after every outstanding evaluation
+        has been told. The parallel backend then issues it ahead of the
+        event loop to keep more of the pool busy
+        (:class:`repro.hpc.parallel.TaskFeed`); the ask *order* never
+        changes. Feedback-driven proposals must answer False.
+        """
+        return False
+
     def ask(self) -> Architecture:
         """Propose the next architecture to evaluate."""
         self.n_asked += 1

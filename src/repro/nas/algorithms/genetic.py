@@ -16,9 +16,13 @@ comes from the algorithm's own RNG in event order, so a campaign is a
 pure function of the (deterministic) executor event sequence and
 checkpoints restore the exact trajectory.
 
-``speculative_ask`` stays False: the proposal stream depends on tell
-timing (breeding), so ask-ahead would make the trajectory depend on
-worker-pool depth and break the bitwise serial==pooled contract.
+The seeding asks (the first ``population_size``) draw random
+architectures and read no tell, so :meth:`~GeneticSearch.can_ask_ahead`
+lets a process pool train the whole initial population at once. From
+then on the proposal stream depends on tell timing (breeding), and the
+backend asks at depth 1: ask-ahead there would make the trajectory
+depend on worker-pool depth and break the bitwise serial==pooled
+contract.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ class GeneticSearch(SearchAlgorithm):
     """
 
     asynchronous = True
-    speculative_ask = False
 
     def __init__(self, space, rng=None, *, population_size: int = 20,
                  tournament_size: int = 4, crossover_rate: float = 0.9,
@@ -103,6 +106,11 @@ class GeneticSearch(SearchAlgorithm):
     # ------------------------------------------------------------------
     # Ask/tell protocol
     # ------------------------------------------------------------------
+    def can_ask_ahead(self) -> bool:
+        # Seeding asks draw random architectures; _observe never touches
+        # the RNG, so they read no tell.
+        return self.n_asked < self.population_size
+
     def _propose(self) -> Architecture:
         # Seeding phase: the first population is uniform random, keyed on
         # n_asked so concurrent workers never breed from an empty pool.

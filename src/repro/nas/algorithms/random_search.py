@@ -18,9 +18,11 @@ class RandomSearch(SearchAlgorithm):
     """Uniform random sampling over the architecture space."""
 
     asynchronous = True
-    # Proposals never depend on rewards: the backend may ask ahead and
-    # keep every pool worker busy without changing the sample stream.
-    speculative_ask = True
+
+    def can_ask_ahead(self) -> bool:
+        # Proposals never depend on rewards: the backend may ask ahead and
+        # keep every pool worker busy without changing the sample stream.
+        return True
 
     def _propose(self) -> Architecture:
         return self.space.random_architecture(self.rng)

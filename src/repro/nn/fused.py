@@ -66,8 +66,13 @@ class ScratchPool:
 
     def get(self, key, build):
         """Return the buffer dict for ``key``, calling ``build()`` only
-        when the previous call had a different key (or there was none)."""
+        when the previous call had a different key (or there was none).
+
+        The old set is released before ``build()`` runs, so the pool
+        never holds two full workspaces at once.
+        """
         if self._key != key:
+            self._key = self._bufs = None
             self._bufs = build()
             self._key = key
         return self._bufs

@@ -203,6 +203,29 @@ def test_pool_checkpoint_resumes_on_serial_backend(small_space, evaluator,
         == algorithm_fingerprint(full_alg)
 
 
+def test_pool_checkpoint_in_ae_priming_resumes_on_serial_backend(
+        small_space, evaluator, tmp_path):
+    """The AE twin: a 2-process-pool campaign cut while it still draws
+    its random initial population, with look-ahead asks in flight,
+    resumes to the serial-backend trajectory."""
+    part = make_partition("ae")
+    full_alg = make_algorithm("ae", small_space)
+    full = run_search(full_alg, evaluator, part, rng=123, workers=0)
+    assert full_alg.n_asked > full_alg.population_size
+
+    ckpt = tmp_path / "campaign.json"
+    alg = make_algorithm("ae", small_space)
+    run_search(alg, evaluator, part, rng=123, workers=2, walltime=150.0,
+               checkpoint=CheckpointPolicy(ckpt))
+    state = load_checkpoint(ckpt)
+    assert state["algorithm"]["n_asked"] <= alg.population_size
+    assert state["feed"]["inflight"], "no look-ahead in flight at the cut"
+    resumed_alg, resumed = resume_search(ckpt, small_space, evaluator)
+    assert trajectory(resumed) == trajectory(full)
+    assert algorithm_fingerprint(resumed_alg) \
+        == algorithm_fingerprint(full_alg)
+
+
 def test_periodic_checkpoint_file_always_loadable(small_space, evaluator,
                                                   tmp_path, monkeypatch):
     """Every periodic write is atomic: peeking at the file between

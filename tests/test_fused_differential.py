@@ -28,11 +28,13 @@ the engine's cross-mode bitwise test.
 """
 
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.nn.detmath import batch_invariant
+from repro.nn.fused import ScratchPool
 from repro.nn.layers import (AddLayer, DenseLayer, GRULayer, LSTMLayer,
                              SimpleRNNLayer)
 from repro.nn.model import Network
@@ -187,6 +189,21 @@ class TestScratchRobustness:
         assert np.abs(dx - dx0).max() <= 1e-12
         for name in g0:
             assert np.abs(g[name] - g0[name]).max() <= 1e-12
+
+    def test_rebuild_releases_the_old_set_first(self):
+        """On a shape change the previous workspace is dropped before
+        ``build()`` runs, so two full sets are never alive at once."""
+        pool = ScratchPool()
+        old = weakref.ref(pool.get((2, 3), lambda: {"a": np.empty((2, 3))})
+                          ["a"])
+        alive_during_build = []
+
+        def build():
+            alive_during_build.append(old() is not None)
+            return {"a": np.empty((4, 3))}
+
+        assert pool.get((4, 3), build)["a"].shape == (4, 3)
+        assert alive_during_build == [False]
 
     def test_shape_change_rebuilds_buffers(self):
         layer = LSTMLayer(6)

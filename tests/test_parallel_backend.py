@@ -3,7 +3,7 @@
 The differential serial-equivalence suite lives in
 tests/test_parallel_equivalence.py and fault injection in
 tests/test_parallel_faults.py; here: protocol mechanics, the factory,
-speculative-ask feeding, pool observability, and PacedEvaluator.
+ask-ahead feeding, cancellation, pool observability, and PacedEvaluator.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from repro.hpc.parallel import TaskFeed
 from repro.nas import (
     AgingEvolution,
     ArchitecturePerformanceModel,
+    DistributedRL,
+    GeneticSearch,
     PacedEvaluator,
     RandomSearch,
     SurrogateEvaluator,
@@ -111,6 +113,59 @@ class TestParallelEvaluator:
         assert SerialEvaluator(evaluator).capacity == 1
 
 
+class TestCancel:
+    def test_serial_forgets_the_task(self, small_space):
+        backend = SerialEvaluator(_surrogate(small_space))
+        archs, seeds = _tasks(small_space, 2)
+        dropped, kept = [backend.submit(a, s) for a, s in zip(archs, seeds)]
+        backend.cancel(dropped)
+        with pytest.raises(KeyError):
+            backend.gather(dropped)
+        with pytest.raises(KeyError):
+            backend.cancel(dropped)
+        reference = SerialEvaluator(_surrogate(small_space))
+        assert backend.gather(kept).reward == reference.gather(
+            reference.submit(archs[1], seeds[1])).reward
+
+    def test_pool_drops_queued_running_and_done_tasks(self, small_space):
+        """One worker: task 0 runs, 1-3 queue. Cancelling 1 (queued) and
+        0 (running) leaves 2 and 3, bitwise the serial results; a
+        finished task cancelled before its gather is discarded too."""
+        archs, seeds = _tasks(small_space, 5)
+        serial = SerialEvaluator(_surrogate(small_space))
+        expected = [serial.gather(serial.submit(a, s))
+                    for a, s in zip(archs, seeds)]
+        obs.enable()
+        with ParallelEvaluator(_surrogate(small_space),
+                               n_workers=1) as backend:
+            handles = [backend.submit(a, s)
+                       for a, s in zip(archs[:4], seeds[:4])]
+            backend.cancel(handles[1])
+            backend.cancel(handles[0])
+            assert len(backend._queue) == 2
+            assert backend.gather(handles[2]).reward == expected[2].reward
+            assert backend.gather(handles[3]).reward == expected[3].reward
+            last = backend.submit(archs[4], seeds[4])
+            while last not in backend._done:
+                backend._pump()
+            backend.cancel(last)
+            with pytest.raises(KeyError):
+                backend.gather(handles[0])
+            assert not (backend._tasks or backend._queue or backend._done)
+        counters = obs.get_registry().counters
+        assert counters["parallel/tasks_cancelled"].value == 3
+        assert counters["parallel/tasks_completed"].value == 2
+
+    def test_nothing_recorded_with_obs_off(self, small_space):
+        archs, seeds = _tasks(small_space, 1)
+        with ParallelEvaluator(_surrogate(small_space),
+                               n_workers=1) as backend:
+            backend.cancel(backend.submit(archs[0], seeds[0]))
+        backend = SerialEvaluator(_surrogate(small_space))
+        backend.cancel(backend.submit(archs[0], seeds[0]))
+        assert not obs.get_registry().counters
+
+
 class TestEvaluationBackendFactory:
     def test_workers_mapping(self, small_space):
         evaluator = _surrogate(small_space)
@@ -123,21 +178,74 @@ class TestEvaluationBackendFactory:
         pool.close()
 
 
+class _FourSlotBackend(SerialEvaluator):
+    """Serial evaluation behind a pool-sized capacity, counting submits."""
+
+    capacity = 4
+
+    def __init__(self, evaluator) -> None:
+        super().__init__(evaluator)
+        self.n_submitted = 0
+
+    def submit(self, arch, seed, epochs=None):
+        self.n_submitted += 1
+        return super().submit(arch, seed, epochs)
+
+
+def _asks_ahead(algorithm, n):
+    """``can_ask_ahead()`` before each of ``n`` asks, every ask told at
+    once."""
+    seen = []
+    for _ in range(n):
+        seen.append(algorithm.can_ask_ahead())
+        algorithm.tell(algorithm.ask(), 0.5)
+    return seen
+
+
+def _submits_per_result(feed, backend, n):
+    """Tasks submitted by each of ``n`` ``next_result()`` calls, every
+    result told before the next call."""
+    counts = []
+    for _ in range(n):
+        before = backend.n_submitted
+        arch, result = feed.next_result()
+        feed.algorithm.tell(arch, result.reward)
+        counts.append(backend.n_submitted - before)
+    return counts
+
+
 class TestTaskFeed:
     def test_speculative_algorithms_fill_the_pool(self, small_space):
-        backend = SerialEvaluator(_surrogate(small_space))
+        """Random search always asks ahead: the first result fills the
+        backend, every later one tops it up by one."""
+        assert _asks_ahead(RandomSearch(small_space, rng=0), 6) == [True] * 6
+        backend = _FourSlotBackend(_surrogate(small_space))
         rs = RandomSearch(small_space, rng=0)
-        assert rs.speculative_ask
         feed = TaskFeed(rs, backend, np.random.SeedSequence(3))
-        assert feed.depth == backend.capacity
+        assert _submits_per_result(feed, backend, 4) == [4, 1, 1, 1]
+        assert len(backend._pending) == 3
 
     def test_feedback_algorithms_run_at_depth_one(self, small_space):
-        backend = SerialEvaluator(_surrogate(small_space))
+        """AE and the GA ask ahead for exactly their random initial
+        population; after it, and always for RL, the feed asks one
+        proposal per result."""
+        for algorithm in (
+                AgingEvolution(small_space, rng=0, population_size=4,
+                               sample_size=2),
+                GeneticSearch(small_space, rng=0, population_size=4,
+                              tournament_size=2)):
+            assert _asks_ahead(algorithm, 8) == [True] * 4 + [False] * 4
+        assert not DistributedRL(small_space, rng=0, n_agents=2,
+                                 workers_per_agent=2).can_ask_ahead()
+        backend = _FourSlotBackend(_surrogate(small_space))
         ae = AgingEvolution(small_space, rng=0, population_size=4,
                             sample_size=2)
-        assert not ae.speculative_ask
         feed = TaskFeed(ae, backend, np.random.SeedSequence(3))
-        assert feed.depth == 1
+        # Priming: four asks on the first result, none while they drain;
+        # then depth 1.
+        assert _submits_per_result(feed, backend, 7) == \
+            [4, 0, 0, 0, 1, 1, 1]
+        assert not backend._pending
 
     def test_task_seeds_follow_child_sequence(self, small_space):
         backend = SerialEvaluator(_surrogate(small_space))

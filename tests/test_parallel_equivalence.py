@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.hpc import (
     ClusterConfig,
     ParallelEvaluator,
@@ -25,6 +26,7 @@ from repro.nas import (
     AgingEvolution,
     ArchitecturePerformanceModel,
     DistributedRL,
+    GeneticSearch,
     RandomSearch,
     SurrogateEvaluator,
 )
@@ -40,6 +42,8 @@ def _make_algorithm(name, space):
     if name == "ae":
         return AgingEvolution(space, rng=3, population_size=8,
                               sample_size=3), PARTITION
+    if name == "ga":
+        return GeneticSearch(space, rng=3, population_size=8), PARTITION
     wpa = rl_node_allocation(RL_PARTITION.n_nodes, 2).workers_per_agent
     return DistributedRL(space, rng=0, n_agents=2,
                          workers_per_agent=wpa), RL_PARTITION
@@ -69,7 +73,7 @@ def _fingerprint(tracker):
     }
 
 
-@pytest.mark.parametrize("algorithm", ["ae", "rs", "ppo"])
+@pytest.mark.parametrize("algorithm", ["ae", "rs", "ppo", "ga"])
 class TestSerialEquivalence:
     def test_pool_matches_serial_at_every_worker_count(self, small_space,
                                                        algorithm):
@@ -84,6 +88,54 @@ class TestSerialEquivalence:
         a = _fingerprint(_run(small_space, algorithm, None))
         b = _fingerprint(_run(small_space, algorithm, None))
         assert a == b
+
+
+def test_ga_campaign_breeds_past_its_seed_population(small_space):
+    """The GA equivalence run covers the depth-1 breeding phase, not
+    just the look-ahead seeding asks."""
+    evaluator = SurrogateEvaluator(
+        small_space, ArchitecturePerformanceModel(small_space, seed=0))
+    ga, partition = _make_algorithm("ga", small_space)
+    with SerialEvaluator(evaluator) as backend:
+        run_search(ga, evaluator, partition, rng=5, backend=backend)
+    assert ga.generation >= 2
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("algorithm", ["rs", "ae"])
+class TestCallerOwnedPoolCleanup:
+    """A campaign withdraws its unread look-ahead from a pool it does
+    not own: nothing stays tracked, queued or done, and the next
+    campaign on that pool is the one a fresh pool would run."""
+
+    @staticmethod
+    def _campaign(space, algorithm, backend):
+        if algorithm == "rs":
+            search = RandomSearch(space, rng=0)
+        else:
+            # The paper's population: the campaign never leaves priming,
+            # so every ask is look-ahead, as in the search benchmark.
+            search = AgingEvolution(space, rng=3, population_size=100,
+                                    sample_size=10)
+        return run_search(search, backend.evaluator, PARTITION, rng=5,
+                          backend=backend)
+
+    def test_campaign_leaves_nothing_behind(self, small_space, algorithm,
+                                            workers):
+        evaluator = SurrogateEvaluator(
+            small_space, ArchitecturePerformanceModel(small_space, seed=0))
+        with ParallelEvaluator(evaluator, n_workers=workers) as fresh:
+            reference = _fingerprint(
+                self._campaign(small_space, algorithm, fresh))
+        obs.enable()
+        with ParallelEvaluator(evaluator, n_workers=workers) as pool:
+            for _ in range(2):
+                tracker = self._campaign(small_space, algorithm, pool)
+                assert not (pool._tasks or pool._queue or pool._done)
+                assert _fingerprint(tracker) == reference
+        assert obs.get_registry().counters[
+            "parallel/tasks_cancelled"].value > 0, \
+            "no look-ahead was in flight at campaign end; test is vacuous"
 
 
 class TestEquivalenceUnderFailureInjection:

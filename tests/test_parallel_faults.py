@@ -99,6 +99,20 @@ class SelectivelyCrashingEvaluator(Evaluator):
         return self._inner.evaluate(arch, rng)
 
 
+class SelectivelyHangingEvaluator(Evaluator):
+    """Hangs on the poisoned quarter of architectures, like
+    SelectivelyCrashingEvaluator raises on it."""
+
+    def __init__(self, space):
+        super().__init__(space)
+        self._inner = _surrogate(space)
+
+    def evaluate(self, arch, rng=None):
+        if sum(arch) % 4 == 0:
+            time.sleep(60.0)
+        return self._inner.evaluate(arch, rng)
+
+
 class UnpicklableEvaluator(Evaluator):
     """Cannot be shipped to a worker process at all."""
 
@@ -169,6 +183,52 @@ class TestFailureSurfacesAsResult:
         registry = obs.get_registry()
         assert registry.counters["parallel/retries"].value >= 1
         assert registry.counters["parallel/workers_restarted"].value >= 1
+
+
+def _poisoned_and_clean(space):
+    """One architecture the selective evaluators fault on, one they
+    evaluate."""
+    rng = np.random.default_rng(0)
+    archs = [space.random_architecture(rng) for _ in range(64)]
+    return (next(a for a in archs if sum(a) % 4 == 0),
+            next(a for a in archs if sum(a) % 4 != 0))
+
+
+class TestCancelledTaskFaults:
+    """A cancelled task that raises, kills its worker, or hangs past the
+    timeout is never retried and never becomes a failure result; the
+    next task on the pool gathers its ordinary result."""
+
+    @pytest.mark.parametrize("fault", ["raise", "die", "hang"])
+    def test_fault_of_a_cancelled_task_is_dropped(self, small_space,
+                                                  tmp_path, fault):
+        poisoned, clean = _poisoned_and_clean(small_space)
+        if fault == "raise":
+            evaluator = SelectivelyCrashingEvaluator(small_space)
+        elif fault == "die":
+            evaluator = DyingEvaluator(small_space, tmp_path / "died.flag")
+        else:
+            evaluator = SelectivelyHangingEvaluator(small_space)
+        obs.enable()
+        start = time.monotonic()
+        with ParallelEvaluator(evaluator, n_workers=1, max_retries=2,
+                               task_timeout=0.5 if fault == "hang"
+                               else None) as backend:
+            doomed = backend.submit(poisoned, _a_seed())
+            backend.cancel(doomed)
+            result = backend.gather(backend.submit(clean, _a_seed()))
+            assert not (backend._tasks or backend._queue or backend._done)
+        assert time.monotonic() - start < 10.0
+        expected = _surrogate(small_space).evaluate(
+            clean, np.random.default_rng(_a_seed()))
+        assert result.reward == expected.reward
+        assert "failed" not in result.metadata
+        counters = obs.get_registry().counters
+        assert counters["parallel/workers_restarted"].value == 1
+        assert counters["parallel/tasks_cancelled"].value == 1
+        for name in ("parallel/retries", "parallel/task_failures",
+                     "parallel/serial_fallbacks"):
+            assert name not in counters, name
 
 
 class TestGracefulDegradation:
