@@ -416,7 +416,10 @@ def _hyperband_campaign_benchmark() -> Benchmark:
 
     ``make()`` runs the RS reference once and records both campaigns'
     noise-free archived quality and training-epoch totals into the
-    metadata; the JSON itself witnesses the multi-fidelity win. CI
+    metadata; the JSON itself witnesses the multi-fidelity win.
+    ``hyperband_epochs`` is the campaign's ``epochs_incremental``: the
+    budget a scheduler charges when each promotion pays only the delta
+    over the candidate's previous rung. CI
     (multifidelity-smoke) gates on ``epochs_saved_ratio >=
     epochs_saved_floor`` and ``hyperband_clean_quality >=
     rs_clean_quality`` — Hyperband must reach the full-budget random

@@ -13,7 +13,7 @@ Subpackages:
   (precomputed evaluation tables + surrogate-fit fallback,
   docs/NAS_BENCHMARK.md);
 * :mod:`repro.nas.multifidelity` — successive-halving / Hyperband budget
-  schedulers over partial-training fidelities (docs/SEARCH.md).
+  schedulers over truncated-training fidelities (docs/SEARCH.md).
 """
 
 from repro.nas.space import (
@@ -37,7 +37,6 @@ from repro.nas.evaluation import (
     Evaluator,
     JointSurrogateEvaluator,
     PacedEvaluator,
-    PartialTrainingEvaluator,
     RealTrainingEvaluator,
     SurrogateEvaluator,
     evaluator_identity,
@@ -91,7 +90,6 @@ __all__ = [
     "RealTrainingEvaluator",
     "SurrogateEvaluator",
     "JointSurrogateEvaluator",
-    "PartialTrainingEvaluator",
     "evaluator_identity",
     "ArchitecturePerformanceModel",
     "SuccessiveHalving",

@@ -584,17 +584,25 @@ def run_benchmark_campaign(evaluator: Evaluator, *, algorithm: str = "rs",
             f"n_evaluations must be >= 1, got {n_evaluations}")
     search = _make_algorithm(algorithm, evaluator.space, seed)
     task_root = child_sequence(as_seed_sequence(seed), 0)
-    hits_before, misses_before = _benchmark_counters()
+    # Where each answer came from, counted off the results themselves so
+    # the report does not depend on whether observability is on.
+    sources = {"table": 0, "surrogate": 0}
+
+    def evaluate(arch, index: int) -> float:
+        result = evaluator.evaluate(
+            arch, np.random.default_rng(child_sequence(task_root, index)))
+        source = result.metadata.get("source")
+        if source in sources:
+            sources[source] += 1
+        return result.reward
+
     start = time.perf_counter()
     n_done = 0
     with obs.scope("nas/benchmark/campaign"):
         if search.asynchronous:
             while n_done < n_evaluations:
                 arch = search.ask()
-                result = evaluator.evaluate(
-                    arch, np.random.default_rng(
-                        child_sequence(task_root, n_done)))
-                search.tell(arch, result.reward)
+                search.tell(arch, evaluate(arch, n_done))
                 n_done += 1
         else:
             while n_done < n_evaluations:
@@ -603,15 +611,11 @@ def run_benchmark_campaign(evaluator: Evaluator, *, algorithm: str = "rs",
                 for batch in batches:
                     row = []
                     for arch in batch:
-                        result = evaluator.evaluate(
-                            arch, np.random.default_rng(
-                                child_sequence(task_root, n_done)))
-                        row.append(result.reward)
+                        row.append(evaluate(arch, n_done))
                         n_done += 1
                     rewards.append(row)
                 search.finish_round(batches, rewards)
     wall = time.perf_counter() - start
-    hits, misses = _benchmark_counters()
     return {
         "algorithm": algorithm, "seed": int(seed),
         "n_evaluations": n_done,
@@ -619,20 +623,10 @@ def run_benchmark_campaign(evaluator: Evaluator, *, algorithm: str = "rs",
         "best_architecture": (list(search.best_architecture)
                               if search.best_architecture is not None
                               else None),
-        "table_hits": hits - hits_before,
-        "surrogate_misses": misses - misses_before,
+        "table_hits": sources["table"],
+        "surrogate_misses": sources["surrogate"],
         "wall_seconds": wall,
     }
-
-
-def _benchmark_counters() -> tuple[int, int]:
-    if not obs.enabled():
-        return 0, 0
-    counters = obs.get_registry().counters
-    hit = counters.get("nas/benchmark/table_hit")
-    miss = counters.get("nas/benchmark/surrogate_miss")
-    return (int(hit.value) if hit is not None else 0,
-            int(miss.value) if miss is not None else 0)
 
 
 def run_seed_sweep(evaluator: Evaluator, *, algorithm: str = "rs",
@@ -697,6 +691,16 @@ def validate_sweep_report(report) -> None:
             raise ValueError(
                 f"campaign {i} completed {c['n_evaluations']} < "
                 f"{report['n_evaluations']} evaluations")
+        hits, misses = int(c["table_hits"]), int(c["surrogate_misses"])
+        if hits < 0 or misses < 0:
+            raise ValueError(
+                f"campaign {i} has negative table_hits/surrogate_misses "
+                f"({hits}, {misses})")
+        if hits + misses > int(c["n_evaluations"]):
+            raise ValueError(
+                f"campaign {i} counts {hits} table_hits + {misses} "
+                f"surrogate_misses, more than its {c['n_evaluations']} "
+                f"evaluations")
         if not np.isfinite(c["best_reward"]):
             raise ValueError(f"campaign {i} best_reward is not finite")
     stats = report["best_reward"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,16 +26,12 @@ from repro.nas.space.builder import build_network
 from repro.nas.space.joint import JointArchitectureSpace
 from repro.nas.space.search_space import Architecture, StackedLSTMSpace
 from repro.nas.surrogate import ArchitecturePerformanceModel
-from repro.nn.optimizers import Adam
-from repro.nn.serialization import network_from_spec, network_spec
-from repro.nn.training import History, Trainer
-from repro.utils.rng import as_generator, generator_from_state, \
-    generator_state
+from repro.nn.training import Trainer
+from repro.utils.rng import as_generator
 
 __all__ = ["EvaluationResult", "Evaluator", "RealTrainingEvaluator",
            "SurrogateEvaluator", "PacedEvaluator",
-           "JointSurrogateEvaluator", "PartialTrainingEvaluator",
-           "evaluator_identity"]
+           "JointSurrogateEvaluator", "evaluator_identity"]
 
 
 def evaluator_identity(evaluator) -> dict | None:
@@ -169,12 +165,28 @@ class RealTrainingEvaluator(Evaluator):
         self.cost_model = cost_model
 
     def evaluate(self, arch: Architecture, rng=None) -> EvaluationResult:
+        return self.evaluate_at(arch, self.trainer.epochs, rng)
+
+    def evaluate_at(self, arch: Architecture, epochs: int,
+                    rng=None) -> EvaluationResult:
+        """Train ``arch`` from scratch for ``epochs`` epochs (the
+        multi-fidelity ask).
+
+        The protocol is the trainer's with only the epoch count
+        replaced, so ``evaluate_at(arch, self.trainer.epochs, rng)`` is
+        ``evaluate(arch, rng)`` bitwise, and a rung's result is a pure
+        function of ``(arch, rng, epochs)``.
+        """
+        epochs = int(epochs)
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        trainer = replace(self.trainer, epochs=epochs)
         gen = as_generator(rng)
         start = time.perf_counter()
         with obs.scope("nas/evaluate/real"):
             net = build_network(self.space, arch, rng=gen)
-            history = self.trainer.fit(net, self.x_train, self.y_train,
-                                       self.x_val, self.y_val, rng=gen)
+            history = trainer.fit(net, self.x_train, self.y_train,
+                                  self.x_val, self.y_val, rng=gen)
         wall = time.perf_counter() - start
         if obs.enabled():
             obs.counter_add("nas/evaluations")
@@ -182,15 +194,14 @@ class RealTrainingEvaluator(Evaluator):
         reward = history.final_val_r2
         if self.cost_model is not None:
             duration = self.cost_model.training_seconds(
-                arch, gen, epochs=self.trainer.epochs)
+                arch, gen, epochs=epochs)
         else:
             duration = wall
         return EvaluationResult(
             architecture=tuple(arch), reward=reward, duration=duration,
             n_parameters=net.n_parameters,
             metadata={"fidelity": "real", "wall_seconds": wall,
-                      "epochs": self.trainer.epochs,
-                      "history": history})
+                      "epochs": epochs, "history": history})
 
 
 class JointSurrogateEvaluator(Evaluator):
@@ -266,118 +277,3 @@ class JointSurrogateEvaluator(Evaluator):
         resume against a different grid is a different experiment."""
         return {"kind": "joint-surrogate", "epochs": self.epochs,
                 "grid": self.space.grid.config()}
-
-
-class PartialTrainingEvaluator(RealTrainingEvaluator):
-    """Real training with resumable partial fits (multi-fidelity rungs).
-
-    :meth:`evaluate_partial` trains an architecture to an epoch budget
-    and returns, in the result metadata, a *continuation state* — the
-    fitted-state vocabulary of :mod:`repro.serve.bundle`
-    (:func:`~repro.nn.serialization.network_spec` + weight arrays)
-    extended with the Adam moment estimates and the exact RNG
-    bit-position. Feeding that state back with a higher budget continues
-    the training **bitwise-identically** to one uninterrupted run: the
-    epoch loop's only cross-epoch state is (weights, optimizer moments,
-    RNG position, history), all captured. Early stopping keeps per-call
-    state, so the trainer must have ``patience=None``.
-    """
-
-    def __init__(self, space: StackedLSTMSpace, data, *,
-                 trainer: Trainer | None = None,
-                 cost_model: ArchitecturePerformanceModel | None = None
-                 ) -> None:
-        super().__init__(space, data, trainer=trainer, cost_model=cost_model)
-        if self.trainer.patience is not None:
-            raise ValueError(
-                "PartialTrainingEvaluator requires patience=None: early "
-                "stopping keeps per-call state that a continuation cannot "
-                "restore")
-
-    def evaluate(self, arch: Architecture, rng=None) -> EvaluationResult:
-        return self.evaluate_partial(arch, self.trainer.epochs, rng)
-
-    def evaluate_at(self, arch: Architecture, epochs: int,
-                    rng=None) -> EvaluationResult:
-        """Fresh train to ``epochs`` (the fidelity-aware backend ask)."""
-        return self.evaluate_partial(arch, epochs, rng)
-
-    def evaluate_partial(self, arch: Architecture, epochs: int, rng=None,
-                         state: dict | None = None) -> EvaluationResult:
-        """Train ``arch`` up to ``epochs`` *total* epochs.
-
-        With ``state`` (a prior result's ``metadata["continuation"]``),
-        training continues from that snapshot; ``epochs`` still counts
-        from zero, so continuing a 5-epoch state to ``epochs=20`` runs 15
-        more. The returned duration charges only the epochs run by *this
-        call* — the incremental cost a budget scheduler accounts for.
-        """
-        epochs = int(epochs)
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        start = time.perf_counter()
-        if state is None:
-            gen = as_generator(rng)
-            net = build_network(self.space, arch, rng=gen)
-            optimizer = Adam(learning_rate=self.trainer.learning_rate)
-            history = History()
-            done = 0
-        else:
-            arch = self.space.validate(arch)
-            if tuple(state["architecture"]) != arch:
-                raise ValueError(
-                    f"continuation state is for architecture "
-                    f"{tuple(state['architecture'])}, not {arch}")
-            done = int(state["epochs"])
-            if epochs <= done:
-                raise ValueError(
-                    f"continuation target ({epochs} epochs) must exceed "
-                    f"the {done} already trained")
-            net = network_from_spec(state["network"], state["weights"],
-                                    source="partial-training continuation")
-            params = [p for p, _ in net.parameters_and_gradients()]
-            optimizer = Adam(learning_rate=self.trainer.learning_rate)
-            optimizer.restore_state(params, state["optimizer"])
-            history = History(
-                train_loss=list(state["history"]["train_loss"]),
-                val_loss=list(state["history"]["val_loss"]),
-                val_r2=list(state["history"]["val_r2"]),
-                learning_rates=list(state["history"]["learning_rates"]))
-            gen = generator_from_state(state["rng"])
-        with obs.scope("nas/evaluate/partial"):
-            self.trainer.fit(net, self.x_train, self.y_train,
-                             self.x_val, self.y_val, rng=gen,
-                             optimizer=optimizer, history=history,
-                             n_epochs=epochs - done)
-        wall = time.perf_counter() - start
-        if obs.enabled():
-            obs.counter_add("nas/evaluations")
-            obs.counter_add("nas/partial_epochs", epochs - done)
-            obs.gauge_set("nas/evaluation_wall_s", wall)
-        params = [p for p, _ in net.parameters_and_gradients()]
-        continuation = {
-            "architecture": list(arch),
-            "network": network_spec(net),
-            "weights": [np.array(w) for w in net.get_weights()],
-            "optimizer": optimizer.capture_state(params),
-            "rng": generator_state(gen),
-            "history": {"train_loss": list(history.train_loss),
-                        "val_loss": list(history.val_loss),
-                        "val_r2": list(history.val_r2),
-                        "learning_rates": list(history.learning_rates)},
-            "epochs": epochs,
-        }
-        if self.cost_model is not None:
-            # Deterministic mean cost for just this call's epochs: a noise
-            # draw here would advance the captured RNG position and break
-            # the bitwise-continuation contract.
-            duration = self.cost_model.training_seconds(
-                arch, None, epochs=epochs - done)
-        else:
-            duration = wall
-        return EvaluationResult(
-            architecture=tuple(arch), reward=history.final_val_r2,
-            duration=duration, n_parameters=net.n_parameters,
-            metadata={"fidelity": "partial", "epochs": epochs,
-                      "epochs_this_call": epochs - done,
-                      "wall_seconds": wall, "continuation": continuation})

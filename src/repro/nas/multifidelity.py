@@ -16,11 +16,10 @@ evaluators:
 
 Worked example (``max_epochs=20``, ``eta=4``): ``s_max = floor(log_4 20)
 = 2``, so three brackets. Bracket ``s=2`` runs 16 candidates at 1 epoch,
-promotes the best 4 to 5 epochs, then the best 1 to 20 epochs — 16·1 +
-4·5 + 1·20 = 56 fresh training epochs (36 incremental, when partial
-trainings continue from their rung-k weights) to full-train the bracket
-winner. Brackets ``s=1`` (6 @ 5 → 1 @ 20) and ``s=0`` (3 @ 20) complete
-the portfolio. Full-budget random search would pay 20 epochs for every
+promotes the best 4 to 4 epochs, then the best 1 to 20 epochs — 16·1 +
+4·4 + 1·20 = 52 training epochs to full-train the bracket winner.
+Brackets ``s=1`` (6 @ 5 → 1 @ 20) and ``s=0`` (3 @ 20) complete the
+portfolio. Full-budget random search would pay 20 epochs for every
 candidate.
 
 Determinism contract
@@ -35,11 +34,9 @@ campaign killed mid-rung resumes — from the JSON checkpoint this module
 writes through :func:`repro.durable.atomic_write_json` — to the
 exact trajectory of an uninterrupted run (tests/test_multifidelity.py).
 
-Reusing one lifetime stream per candidate mirrors partial-training
-continuation: a fresh ``evaluate_at(arch, r_k)`` under that stream equals
-``evaluate_partial`` continuation through the earlier rungs bitwise (see
-:class:`~repro.nas.evaluation.PartialTrainingEvaluator`), so the pooled
-fresh-training path and the in-process continuation path agree exactly.
+Every rung trains from scratch (``evaluate_at(arch, r_k)``) under the
+candidate's lifetime stream; reusing that stream across rungs is
+common-random-numbers variance reduction for the promotion decisions.
 
 Rungs dispatch through :class:`~repro.hpc.parallel.EvaluationBackend`:
 every pending member of a rung is submitted before the first gather, so
@@ -251,10 +248,8 @@ def run_multifidelity_campaign(scheduler, evaluator: Evaluator, *,
     scheduler:
         A :class:`SuccessiveHalving` or :class:`Hyperband` instance.
     workers:
-        ``None`` — in-process evaluation, threading partial-training
-        continuation state when the evaluator supports
-        ``evaluate_partial``; ``0`` — the serial submit/gather backend;
-        ``n >= 1`` — the ``n``-worker process pool. All three are
+        ``None`` or ``0`` — the in-process serial submit/gather backend;
+        ``n >= 1`` — the ``n``-worker process pool. Both are
         bitwise-identical.
     checkpoint:
         Path to write an atomic campaign checkpoint after every completed
@@ -269,9 +264,10 @@ def run_multifidelity_campaign(scheduler, evaluator: Evaluator, *,
         scheduler config / seed / evaluator identity must match.
 
     Returns a report dict: best architecture/reward, evaluation and epoch
-    totals (``epochs_incremental`` charges only the continuation delta at
-    each promotion; ``epochs_fresh`` the train-from-scratch equivalent),
-    and a per-bracket rung log.
+    totals, and a per-bracket rung log. ``epochs_fresh`` sums every
+    evaluation's epochs, which is what this runner trains;
+    ``epochs_incremental`` is the budget a scheduler charges when each
+    promotion pays only the delta over the candidate's previous rung.
     """
     from repro.hpc.parallel import evaluation_backend
 
@@ -348,8 +344,8 @@ def run_multifidelity_campaign(scheduler, evaluator: Evaluator, *,
         if checkpoint is not None:
             atomic_write_json(checkpoint, payload())
 
-    backend = evaluation_backend(evaluator, workers)
-    partial = backend is None and hasattr(evaluator, "evaluate_partial")
+    backend = evaluation_backend(evaluator,
+                                 0 if workers is None else workers)
 
     try:
         with obs.scope("multifidelity/campaign"):
@@ -363,65 +359,34 @@ def run_multifidelity_campaign(scheduler, evaluator: Evaluator, *,
                         np.random.default_rng(
                             child_sequence(bracket_sample, slot)))))
                     for slot in range(bracket.rungs[0].n_candidates)]
-                # slot -> continuation state (in-process partial training).
-                states: dict[int, dict] = {}
                 rung_log: list[dict] = []
                 for r_i, rung in enumerate(bracket.rungs):
                     if stopped:
                         break
                     members = members[:rung.n_candidates]
-                    pending = [(slot, arch) for slot, arch in members
-                               if _key(b_i, r_i, slot) not in done]
-                    if backend is not None:
-                        # Saturate the pool: the whole rung goes out
-                        # before the first gather.
-                        handles = [
-                            (slot, arch, backend.submit(
-                                arch, child_sequence(bracket_tasks, slot),
-                                epochs=rung.epochs))
-                            for slot, arch in pending]
-                        for slot, arch, handle in handles:
-                            if stopped:
-                                break
-                            result = backend.gather(handle)
-                            record({"bracket": b_i, "rung": r_i,
-                                    "slot": slot,
-                                    "architecture": list(arch),
-                                    "epochs": rung.epochs,
-                                    "epochs_this_call": rung.epochs,
-                                    "reward": float(result.reward),
-                                    "duration": float(result.duration)})
-                            if stop_after_evaluations is not None and \
-                                    n_new >= stop_after_evaluations:
-                                stopped = True
-                    else:
-                        for slot, arch in pending:
-                            if stopped:
-                                break
-                            rng = np.random.default_rng(
-                                child_sequence(bracket_tasks, slot))
-                            if partial:
-                                result = evaluator.evaluate_partial(
-                                    arch, rung.epochs, rng,
-                                    state=states.get(slot))
-                                states[slot] = \
-                                    result.metadata["continuation"]
-                                delta = \
-                                    result.metadata["epochs_this_call"]
-                            else:
-                                result = evaluator.evaluate_at(
-                                    arch, rung.epochs, rng)
-                                delta = rung.epochs
-                            record({"bracket": b_i, "rung": r_i,
-                                    "slot": slot,
-                                    "architecture": list(arch),
-                                    "epochs": rung.epochs,
-                                    "epochs_this_call": delta,
-                                    "reward": float(result.reward),
-                                    "duration": float(result.duration)})
-                            if stop_after_evaluations is not None and \
-                                    n_new >= stop_after_evaluations:
-                                stopped = True
+                    # Saturate the pool: the whole rung goes out before
+                    # the first gather.
+                    handles = [
+                        (slot, arch, backend.submit(
+                            arch, child_sequence(bracket_tasks, slot),
+                            epochs=rung.epochs))
+                        for slot, arch in members
+                        if _key(b_i, r_i, slot) not in done]
+                    for slot, arch, handle in handles:
+                        if stopped:
+                            break
+                        result = backend.gather(handle)
+                        # Every rung trains from scratch, so the record
+                        # format's epochs_this_call equals epochs.
+                        record({"bracket": b_i, "rung": r_i, "slot": slot,
+                                "architecture": list(arch),
+                                "epochs": rung.epochs,
+                                "epochs_this_call": rung.epochs,
+                                "reward": float(result.reward),
+                                "duration": float(result.duration)})
+                        if stop_after_evaluations is not None and \
+                                n_new >= stop_after_evaluations:
+                            stopped = True
                     if stopped or any(_key(b_i, r_i, slot) not in done
                                       for slot, _ in members):
                         stopped = True
@@ -450,8 +415,7 @@ def run_multifidelity_campaign(scheduler, evaluator: Evaluator, *,
                     if obs.enabled():
                         obs.counter_add("multifidelity/brackets_completed")
     finally:
-        if backend is not None:
-            backend.close()
+        backend.close()
 
     if checkpoint is not None:
         atomic_write_json(checkpoint, payload())

@@ -3,9 +3,9 @@
 Substitutes for TensorFlow 1.14 / Keras 2.3.1 (paper Sec. IV). Provides
 exactly the pieces the stacked-LSTM search space needs: Dense and LSTM
 layers with full backpropagation(-through-time), elementwise Add/Identity/
-activation nodes for skip connections, MSE loss, the R2 metric, SGD and
-Adam optimizers, a DAG ``Network`` executed in topological order, and a
-mini-batch ``Trainer``.
+activation nodes for skip connections, MSE loss, the R2 metric, the Adam
+optimizer, a DAG ``Network`` executed in topological order, and a
+mini-batch ``Trainer`` fixed to the paper's protocol.
 """
 
 from repro.nn.activations import Identity, ReLU, Sigmoid, Tanh, get_activation
@@ -15,7 +15,7 @@ from repro.nn.layers import (AddLayer, DenseLayer, GRULayer,
 from repro.nn.losses import MeanSquaredError
 from repro.nn.metrics import r2_score, rmse
 from repro.nn.model import Network, NodeSpec
-from repro.nn.optimizers import SGD, Adam
+from repro.nn.optimizers import Adam
 from repro.nn.training import History, Trainer
 from repro.nn.detmath import (batch_invariant, batch_invariant_enabled,
                               recurrent_matmul)
@@ -30,7 +30,7 @@ __all__ = [
     "MeanSquaredError",
     "r2_score", "rmse",
     "Network", "NodeSpec",
-    "SGD", "Adam",
+    "Adam",
     "History", "Trainer",
     "save_network", "load_network", "network_spec", "network_from_spec",
     "batch_invariant", "batch_invariant_enabled", "recurrent_matmul",

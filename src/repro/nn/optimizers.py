@@ -1,4 +1,4 @@
-"""First-order optimizers (SGD with momentum, Adam).
+"""The Adam optimizer and global-norm gradient clipping.
 
 The paper trains with ADAM at learning rate 0.001 (Sec. IV); those are the
 defaults here. State is keyed by parameter identity so an optimizer can be
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam", "clip_gradients"]
+__all__ = ["Adam", "clip_gradients"]
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
@@ -28,108 +28,37 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     return total
 
 
-class _Optimizer:
-    """Shared plumbing: iterate (param, grad) pairs and update in place."""
-
-    def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        self.learning_rate = learning_rate
-
-    def step(self, params_and_grads) -> None:
-        """Apply one update. ``params_and_grads`` yields (param, grad)."""
-        for param, grad in params_and_grads:
-            self._update(param, grad)
-
-    def _update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        raise NotImplementedError
-
-
-class SGD(_Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def _update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        if self.momentum == 0.0:
-            param -= self.learning_rate * grad
-            return
-        v = self._velocity.setdefault(id(param), np.zeros_like(param))
-        v *= self.momentum
-        v -= self.learning_rate * grad
-        param += v
-
-
-class Adam(_Optimizer):
+class Adam:
     """Adam (Kingma & Ba 2014) with bias correction."""
 
     def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8) -> None:
-        super().__init__(learning_rate)
+        if not learning_rate > 0:
+            raise ValueError(
+                f"learning_rate must be positive, got {learning_rate}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
         if epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
+        self.learning_rate = learning_rate
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
         self._t: dict[int, int] = {}
 
-    def _update(self, param: np.ndarray, grad: np.ndarray) -> None:
-        key = id(param)
-        m = self._m.setdefault(key, np.zeros_like(param))
-        v = self._v.setdefault(key, np.zeros_like(param))
-        t = self._t.get(key, 0) + 1
-        self._t[key] = t
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    # -- state capture ------------------------------------------------------
-    # Moment estimates are keyed by id(param), which is not stable across
-    # processes or re-built networks, so snapshots are *positional*: the
-    # caller fixes a parameter order (model.parameters_and_gradients()) and
-    # the same order must be used on restore.
-    def capture_state(self, params) -> dict:
-        """Snapshot moment estimates for ``params`` in iteration order."""
-        params = list(params)
-        return {
-            "learning_rate": float(self.learning_rate),
-            "beta1": self.beta1, "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "m": [np.array(self._m.get(id(p), np.zeros_like(p)))
-                  for p in params],
-            "v": [np.array(self._v.get(id(p), np.zeros_like(p)))
-                  for p in params],
-            "t": [int(self._t.get(id(p), 0)) for p in params],
-        }
-
-    def restore_state(self, params, state: dict) -> None:
-        """Re-attach a :meth:`capture_state` snapshot to ``params``.
-
-        ``params`` must enumerate the (possibly re-built) parameter arrays
-        in the same order the snapshot was captured with.
-        """
-        params = list(params)
-        if len(params) != len(state["m"]):
-            raise ValueError(
-                f"snapshot covers {len(state['m'])} parameters, "
-                f"got {len(params)}")
-        self.learning_rate = float(state["learning_rate"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.epsilon = float(state["epsilon"])
-        self._m = {id(p): np.array(m, dtype=np.float64)
-                   for p, m in zip(params, state["m"])}
-        self._v = {id(p): np.array(v, dtype=np.float64)
-                   for p, v in zip(params, state["v"])}
-        self._t = {id(p): int(t) for p, t in zip(params, state["t"])}
+    def step(self, params_and_grads) -> None:
+        """Apply one update. ``params_and_grads`` yields (param, grad)."""
+        for param, grad in params_and_grads:
+            key = id(param)
+            m = self._m.setdefault(key, np.zeros_like(param))
+            v = self._v.setdefault(key, np.zeros_like(param))
+            t = self._t.get(key, 0) + 1
+            self._t[key] = t
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            m_hat = m / (1.0 - self.beta1 ** t)
+            v_hat = v / (1.0 - self.beta2 ** t)
+            param -= self.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                   + self.epsilon)

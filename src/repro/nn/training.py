@@ -3,6 +3,9 @@
 Matches the paper's training protocol (Sec. IV): batch size 64, learning
 rate 0.001, Adam, MSE loss, R^2 on held-out validation data as the
 reported metric; 20 epochs during the search, 100 during post-training.
+Every epoch visits the training examples in a fresh random order, and
+each batch's gradients are clipped to a global L2 norm of
+:data:`CLIP_NORM`.
 """
 
 from __future__ import annotations
@@ -18,23 +21,20 @@ from repro.nn.model import Network
 from repro.nn.optimizers import Adam, clip_gradients
 from repro.utils.rng import as_generator
 
-__all__ = ["History", "Trainer"]
+__all__ = ["CLIP_NORM", "History", "Trainer"]
+
+#: Global gradient-norm ceiling applied to every batch: it guards randomly
+#: mutated deep stacks against exploding BPTT gradients.
+CLIP_NORM = 5.0
 
 
 @dataclass
 class History:
-    """Per-epoch training record.
-
-    ``learning_rates`` records the learning rate *in effect during* each
-    epoch, making the ``lr_decay`` schedule observable: decay is applied
-    between epochs, so an early-stopped run records exactly one rate per
-    completed epoch, identical to the prefix of an un-stopped run.
-    """
+    """Per-epoch training record."""
 
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_r2: list[float] = field(default_factory=list)
-    learning_rates: list[float] = field(default_factory=list)
 
     @property
     def n_epochs(self) -> int:
@@ -64,59 +64,34 @@ class History:
 
 @dataclass
 class Trainer:
-    """Configurable mini-batch trainer for :class:`~repro.nn.model.Network`.
+    """Mini-batch Adam trainer for :class:`~repro.nn.model.Network`.
 
-    Parameters mirror the paper's fixed hyperparameters; ``clip_norm``
-    guards randomly mutated deep stacks against exploding BPTT gradients
-    (set ``None`` to disable).
-
-    Extensions beyond the paper's fixed protocol (all off by default):
-
-    * ``patience`` — early stopping: halt when the validation R^2 has not
-      improved by ``min_delta`` for that many epochs, and restore the
-      best-epoch weights;
-    * ``lr_decay`` — multiply the learning rate by this factor each epoch
-      (1.0 = constant, the paper's setting).
+    The paper's protocol with its three settings: ``batch_size``,
+    ``learning_rate`` and ``epochs``. Training always runs all
+    ``epochs``, shuffling each one.
     """
 
     batch_size: int = 64
     learning_rate: float = 0.001
     epochs: int = 20
-    clip_norm: float | None = 5.0
-    shuffle: bool = True
-    patience: int | None = None
-    min_delta: float = 1e-4
-    lr_decay: float = 1.0
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ValueError(
+                f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.patience is not None and self.patience <= 0:
-            raise ValueError(f"patience must be positive, got {self.patience}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
 
     def fit(self, model: Network, x_train: np.ndarray, y_train: np.ndarray,
             x_val: np.ndarray | None = None, y_val: np.ndarray | None = None,
-            rng=None, *, optimizer: Adam | None = None,
-            history: History | None = None,
-            n_epochs: int | None = None) -> History:
+            rng=None) -> History:
         """Train ``model``; returns the epoch history.
 
         ``x_*``/``y_*`` are ``(n, T, F)`` windowed example tensors. If no
         validation set is given, validation entries reuse training data
         (discouraged; search rewards must be held-out, per the paper).
-
-        The keyword-only ``optimizer``/``history``/``n_epochs`` trio
-        supports *resumable* training (multi-fidelity partial training):
-        pass the optimizer and history of an earlier ``fit`` call plus the
-        epoch count still to run, and — with ``rng`` restored to the bit
-        position the earlier call left it at — the continued run is
-        bitwise-identical to one uninterrupted training. Early stopping
-        keeps per-call state (best weights / staleness), so resumed
-        training requires ``patience=None``.
         """
         x_train = np.asarray(x_train, dtype=np.float64)
         y_train = np.asarray(y_train, dtype=np.float64)
@@ -131,32 +106,16 @@ class Trainer:
         if x_val is None:
             x_val, y_val = x_train, y_train
 
-        if (optimizer is not None or history is not None) \
-                and self.patience is not None:
-            raise ValueError(
-                "resumed training (optimizer=/history=) requires "
-                "patience=None: early-stopping state is per-call and would "
-                "diverge from an uninterrupted run")
-        if n_epochs is not None and n_epochs < 0:
-            raise ValueError(f"n_epochs must be non-negative, got {n_epochs}")
-
         gen = as_generator(rng)
         loss_fn = MeanSquaredError()
-        if optimizer is None:
-            optimizer = Adam(learning_rate=self.learning_rate)
-        if history is None:
-            history = History()
+        optimizer = Adam(learning_rate=self.learning_rate)
+        history = History()
         n = x_train.shape[0]
-        best_r2 = -np.inf
-        best_weights: list[np.ndarray] | None = None
-        stale_epochs = 0
 
-        epochs = self.epochs if n_epochs is None else n_epochs
-        for _ in range(epochs):
-            history.learning_rates.append(optimizer.learning_rate)
+        for _ in range(self.epochs):
             epoch_scope = obs.scope("train/epoch")
             with epoch_scope:
-                order = gen.permutation(n) if self.shuffle else np.arange(n)
+                order = gen.permutation(n)
                 epoch_loss = 0.0
                 for start in range(0, n, self.batch_size):
                     with obs.scope("batch"):
@@ -168,8 +127,7 @@ class Trainer:
                         model.backward(loss_fn.gradient(pred, yb))
                         grads = [g for _, g in
                                  model.parameters_and_gradients()]
-                        if self.clip_norm is not None:
-                            clip_gradients(grads, self.clip_norm)
+                        clip_gradients(grads, CLIP_NORM)
                         optimizer.step(model.parameters_and_gradients())
                         epoch_loss += batch_loss * len(idx)
                 history.train_loss.append(epoch_loss / n)
@@ -184,20 +142,4 @@ class Trainer:
                 obs.counter_add("train/examples", n)
                 obs.gauge_set("train/examples_per_sec",
                               n / max(epoch_scope.elapsed_s, 1e-12))
-
-            if self.patience is not None:
-                if history.val_r2[-1] > best_r2 + self.min_delta:
-                    best_r2 = history.val_r2[-1]
-                    best_weights = model.get_weights()
-                    stale_epochs = 0
-                else:
-                    stale_epochs += 1
-                    if stale_epochs >= self.patience:
-                        break
-            # Decay between epochs only: a run halted by early stopping or
-            # by the epoch budget leaves the optimizer at the rate it last
-            # trained with, so the recorded schedule is break-consistent.
-            optimizer.learning_rate *= self.lr_decay
-        if self.patience is not None and best_weights is not None:
-            model.set_weights(best_weights)
         return history

@@ -107,6 +107,15 @@ class PipelineConfig:
             raise ValueError(
                 f"train_weeks {self.train_weeks} too short to window "
                 f"(need >= {2 * self.window + 1})")
+        if self.lstm_units < 1:
+            raise ValueError(
+                f"lstm_units must be >= 1, got {self.lstm_units}")
+        self.trainer()  # the retrain protocol is valid before any state
+
+    def trainer(self) -> Trainer:
+        """The :class:`~repro.nn.training.Trainer` every retrain uses."""
+        return Trainer(epochs=self.epochs, batch_size=self.batch_size,
+                       learning_rate=self.learning_rate)
 
     def as_json(self) -> dict:
         return asdict(self)
@@ -359,10 +368,8 @@ class ContinuousPipeline:
         rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, _RETRAIN_TAG, retrain_index)))
         basis = self.state.pod.basis(cfg.n_modes)
-        emulator = PODLSTMEmulator(
-            n_modes=cfg.n_modes, window=cfg.window,
-            trainer=Trainer(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                            learning_rate=cfg.learning_rate))
+        emulator = PODLSTMEmulator(n_modes=cfg.n_modes, window=cfg.window,
+                                   trainer=cfg.trainer())
         network = build_manual_lstm(cfg.lstm_units, 1,
                                     input_dim=cfg.n_modes,
                                     output_dim=cfg.n_modes, rng=rng)

@@ -5,10 +5,10 @@ Three exact contracts, all ``==`` rather than approximate:
 1. **Backend independence** — an SH/Hyperband campaign is a pure
    function of (scheduler, evaluator, seed): in-process, serial-backend,
    and 1/2/4-worker-pool runs produce identical reports.
-2. **Partial-training continuation** — training an architecture to
-   epoch ``k`` and continuing to ``m`` is bitwise the uninterrupted
-   ``0..m`` training: same weights, same optimizer moments, same RNG
-   position, same history.
+2. **Real-training rungs** — ``RealTrainingEvaluator.evaluate_at`` is
+   a fresh training at the rung's budget, bitwise ``evaluate`` on a
+   trainer with that many epochs, and a real-training campaign gives
+   one report on every backend.
 3. **Interrupt/resume** — a campaign killed mid-rung and resumed from
    its checkpoint replays to exactly the uninterrupted trajectory, and a
    checkpoint refuses to resume under a different scheduler config,
@@ -25,7 +25,7 @@ from repro.nas import (
     HyperparameterGrid,
     JointArchitectureSpace,
     JointSurrogateEvaluator,
-    PartialTrainingEvaluator,
+    RealTrainingEvaluator,
     SuccessiveHalving,
     SurrogateEvaluator,
     load_checkpoint,
@@ -162,7 +162,7 @@ class TestBackendIndependence:
 
 
 # ---------------------------------------------------------------------------
-# Partial-training continuation is bitwise the uninterrupted training
+# Real training: every rung is a fresh training under the lifetime stream
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -173,69 +173,80 @@ def tiny_training():
     return data
 
 
-class TestPartialTraining:
-    def make(self, small_space, data, epochs=6):
-        return PartialTrainingEvaluator(
-            small_space, data,
-            trainer=Trainer(epochs=epochs, batch_size=8, patience=None))
+#: The seed-5 SH campaign below, as recorded when the in-process path
+#: still continued each candidate's training from its previous rung.
+RECORDED_SH_CAMPAIGN = {
+    "best_reward": -0.004905151548393105,
+    "best_architecture": [3, 1, 0, 0, 1, 0],
+    "n_evaluations": 7,
+    "epochs_incremental": 8,
+    "epochs_fresh": 12,
+    "brackets": [{"index": 0, "rungs": [
+        {"epochs": 1, "n_candidates": 4,
+         "best_reward": -0.004559247794558852},
+        {"epochs": 2, "n_candidates": 2,
+         "best_reward": -0.004630431070500762},
+        {"epochs": 4, "n_candidates": 1,
+         "best_reward": -0.004905151548393105}]}],
+}
 
-    def test_continuation_is_bitwise_uninterrupted(self, small_space,
-                                                   tiny_training):
+
+class TestRealTrainingRungs:
+    def make(self, small_space, data, epochs=6):
+        return RealTrainingEvaluator(
+            small_space, data,
+            trainer=Trainer(epochs=epochs, batch_size=8))
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.reward == b.reward
+        assert a.n_parameters == b.n_parameters
+        assert a.metadata["epochs"] == b.metadata["epochs"]
+        assert a.metadata["history"] == b.metadata["history"]
+
+    def test_full_budget_ask_is_evaluate(self, small_space, tiny_training):
         ev = self.make(small_space, tiny_training)
         arch = small_space.from_index(101)
-        straight = ev.evaluate_partial(arch, 6,
-                                       np.random.default_rng(42))
+        self.assert_same(
+            ev.evaluate_at(arch, ev.trainer.epochs,
+                           np.random.default_rng(42)),
+            ev.evaluate(arch, np.random.default_rng(42)))
 
-        first = ev.evaluate_partial(arch, 2, np.random.default_rng(42))
-        second = ev.evaluate_partial(
-            arch, 4, state=first.metadata["continuation"])
-        third = ev.evaluate_partial(
-            arch, 6, state=second.metadata["continuation"])
-
-        assert third.reward == straight.reward
-        a = third.metadata["continuation"]
-        b = straight.metadata["continuation"]
-        assert a["rng"] == b["rng"]  # exact bit-stream position
-        for wa, wb in zip(a["weights"], b["weights"]):
-            np.testing.assert_array_equal(wa, wb)
-        for ma, mb in zip(a["optimizer"]["m"], b["optimizer"]["m"]):
-            np.testing.assert_array_equal(ma, mb)
-        assert a["history"] == b["history"]
-
-    def test_continuation_validates_architecture_and_epochs(
-            self, small_space, tiny_training):
+    @pytest.mark.parametrize("epochs", [1, 2, 9])
+    def test_truncated_ask_is_a_fresh_shorter_training(
+            self, small_space, tiny_training, epochs):
         ev = self.make(small_space, tiny_training)
-        arch = small_space.from_index(3)
-        first = ev.evaluate_partial(arch, 2, np.random.default_rng(0))
-        state = first.metadata["continuation"]
-        with pytest.raises(ValueError, match="architecture"):
-            ev.evaluate_partial(small_space.from_index(4), 4, state=state)
+        arch = small_space.from_index(101)
+        ask = ev.evaluate_at(arch, epochs, np.random.default_rng(42))
+        assert ask.metadata["epochs"] == epochs
+        self.assert_same(
+            ask, self.make(small_space, tiny_training, epochs).evaluate(
+                arch, np.random.default_rng(42)))
+        assert ev.trainer.epochs == 6  # the evaluator's own protocol
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_budget_below_one_epoch_rejected(self, small_space,
+                                             tiny_training, epochs):
+        ev = self.make(small_space, tiny_training)
         with pytest.raises(ValueError, match="epochs"):
-            ev.evaluate_partial(arch, 2, state=state)
+            ev.evaluate_at(small_space.from_index(3), epochs)
 
-    def test_early_stopping_trainer_rejected(self, small_space,
-                                             tiny_training):
-        with pytest.raises(ValueError, match="patience"):
-            PartialTrainingEvaluator(
-                small_space, tiny_training,
-                trainer=Trainer(epochs=6, batch_size=8, patience=2))
-
-    def test_campaign_continuation_equals_fresh(self, small_space,
-                                                tiny_training):
-        """The in-process campaign path (which threads continuation
-        state through the rungs) matches the backend path (which trains
-        each rung from scratch under the same lifetime stream)."""
+    @pytest.mark.parametrize("workers", [None, 0, 2])
+    def test_campaign_matches_recorded_result(self, small_space,
+                                              tiny_training, workers):
+        """In-process, serial-backend and pooled real-training campaigns
+        all give the report the continuation path recorded: a fresh
+        ``evaluate_at`` under a candidate's lifetime stream is what
+        continuing its training through the earlier rungs gave."""
         ev = self.make(small_space, tiny_training, epochs=4)
         sh = SuccessiveHalving(n_candidates=4, min_epochs=1,
                                max_epochs=4, eta=2)
-        cont = run_multifidelity_campaign(sh, ev, seed=5)
-        fresh = run_multifidelity_campaign(sh, ev, seed=5, workers=0)
-        assert cont["best_reward"] == fresh["best_reward"]
-        assert cont["best_architecture"] == fresh["best_architecture"]
-        assert cont["brackets"] == fresh["brackets"]
-        # Continuation pays only the budget deltas.
-        assert cont["epochs_incremental"] < cont["epochs_fresh"]
-        assert fresh["epochs_fresh"] == cont["epochs_fresh"]
+        report = run_multifidelity_campaign(sh, ev, seed=5,
+                                            workers=workers)
+        assert report["completed"] is True
+        assert report["best_is_full_budget"] is True
+        assert {key: report[key] for key in RECORDED_SH_CAMPAIGN} \
+            == RECORDED_SH_CAMPAIGN
 
 
 # ---------------------------------------------------------------------------

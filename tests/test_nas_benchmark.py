@@ -319,6 +319,15 @@ class TestSurrogateFallback:
         counters = obs.get_registry().counters
         assert counters["nas/benchmark/surrogate_miss"].value == 1
 
+    def test_campaign_counts_misses_with_obs_off(self, partial_path):
+        """Off-table asks are counted off the results, so a campaign
+        run with observability disabled still reports them."""
+        ev = BenchmarkEvaluator(partial_path)
+        result = run_benchmark_campaign(ev, algorithm="rs",
+                                        n_evaluations=30, seed=0)
+        assert result["surrogate_misses"] > 0
+        assert result["table_hits"] + result["surrogate_misses"] == 30
+
     def test_ridge_recovers_table_points_on_linear_landscape(
             self, small_space, tmp_path):
         # A purely linear-in-choices reward is in the ridge model class:
@@ -430,6 +439,28 @@ class TestCampaignsAndSweeps:
         assert result["table_hits"] == 25
         assert result["surrogate_misses"] == 0
 
+    @pytest.mark.parametrize("algorithm", ["rs", "rl"])
+    def test_sweep_report_does_not_depend_on_obs(self, evaluator,
+                                                 algorithm):
+        """The report is the same with observability off (the default,
+        and how CI sweeps) and on, and on an exhaustive archive every
+        ask is a table hit."""
+        def sweep() -> dict:
+            report = run_seed_sweep(evaluator, algorithm=algorithm,
+                                    n_evaluations=20, n_seeds=2)
+            del report["total_wall_seconds"]
+            for campaign in report["campaigns"]:
+                del campaign["wall_seconds"]
+            return report
+
+        off = sweep()
+        obs.enable()
+        on = sweep()
+        assert off == on
+        for campaign in off["campaigns"]:
+            assert campaign["table_hits"] == campaign["n_evaluations"]
+            assert campaign["surrogate_misses"] == 0
+
     def test_unknown_algorithm_and_bad_budget(self, evaluator):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_benchmark_campaign(evaluator, algorithm="sa")
@@ -456,6 +487,12 @@ class TestCampaignsAndSweeps:
         (lambda r: r["campaigns"][0].pop("best_reward"), "best_reward"),
         (lambda r: r["campaigns"][0].update(n_evaluations=1), "completed"),
         (lambda r: r["best_reward"].update(mean=float("nan")), "mean"),
+        (lambda r: r["campaigns"][1].update(table_hits=-1), "negative"),
+        (lambda r: r["campaigns"][1].update(surrogate_misses=-1),
+         "negative"),
+        (lambda r: r["campaigns"][1].update(table_hits=8,
+                                            surrogate_misses=3),
+         "more than"),
     ])
     def test_sweep_report_schema_violations(self, evaluator, mutate,
                                             match):

@@ -50,44 +50,15 @@ class TestTrainer:
         x, y = toy_problem(rng, n=20)
         net = build_manual_lstm(4, 1, input_dim=2, output_dim=2, rng=0)
         before = [w.copy() for w in net.get_weights()]
-        history = Trainer(epochs=0, lr_decay=0.5, patience=3).fit(
-            net, x, y, rng=0)
+        history = Trainer(epochs=0).fit(net, x, y, rng=0)
         for w_before, w_after in zip(before, net.get_weights(),
                                      strict=True):
             np.testing.assert_array_equal(w_before, w_after)
         assert history.is_empty
-        assert history.learning_rates == []
         with pytest.raises(ValueError, match="epochs=0"):
             history.best_val_r2
         with pytest.raises(ValueError, match="epochs=0"):
             history.final_val_r2
-
-    def test_lr_decay_schedule_recorded(self, rng):
-        x, y = toy_problem(rng, n=20)
-        net = build_manual_lstm(4, 1, input_dim=2, output_dim=2, rng=0)
-        history = Trainer(epochs=3, learning_rate=0.01,
-                          lr_decay=0.5).fit(net, x, y, rng=0)
-        assert history.learning_rates == pytest.approx(
-            [0.01, 0.005, 0.0025])
-
-    def test_lr_decay_consistent_under_early_stop(self, rng):
-        """An early-stopped run records the same per-epoch learning
-        rates as the prefix of an un-stopped run (decay applies between
-        epochs, so a break cannot skip or double-apply it)."""
-        x, y = toy_problem(rng)
-        kwargs = dict(epochs=8, batch_size=32, learning_rate=0.01,
-                      lr_decay=0.5)
-        stopped = Trainer(patience=1, min_delta=10.0, **kwargs).fit(
-            build_manual_lstm(4, 1, input_dim=2, output_dim=2, rng=0),
-            x[:80], y[:80], x[80:], y[80:], rng=0)
-        free = Trainer(**kwargs).fit(
-            build_manual_lstm(4, 1, input_dim=2, output_dim=2, rng=0),
-            x[:80], y[:80], x[80:], y[80:], rng=0)
-        n = stopped.n_epochs
-        assert 0 < n < free.n_epochs
-        assert stopped.learning_rates == pytest.approx(
-            free.learning_rates[:n])
-        assert len(stopped.learning_rates) == n
 
     def test_batch_larger_than_data(self, rng):
         x, y = toy_problem(rng, n=10)
@@ -120,13 +91,37 @@ class TestTrainer:
             Trainer(epochs=-1)
 
     def test_clipping_keeps_training_stable(self, rng):
-        """A deep stack with an aggressive learning rate survives when
-        clip_norm is enabled."""
+        """A deep stack with an aggressive learning rate survives under
+        the constant CLIP_NORM gradient clip."""
         x, y = toy_problem(rng, n=60)
         net = build_manual_lstm(8, 3, input_dim=2, output_dim=2, rng=0)
-        history = Trainer(epochs=5, batch_size=16, learning_rate=0.05,
-                          clip_norm=1.0).fit(net, x, y, rng=0)
+        history = Trainer(epochs=5, batch_size=16, learning_rate=0.05).fit(
+            net, x, y, rng=0)
         assert np.isfinite(history.train_loss).all()
+
+    @pytest.mark.parametrize("lr", [0.0, -0.01, float("nan")])
+    def test_learning_rate_must_be_positive(self, lr):
+        """NaN fails the ``> 0`` check too: it would train NaN weights."""
+        with pytest.raises(ValueError, match="learning_rate"):
+            Trainer(learning_rate=lr)
+
+    def test_every_batch_is_clipped_at_the_constant(self, rng,
+                                                    monkeypatch):
+        """``fit`` clips each batch through the module-level
+        ``clip_gradients`` at ``CLIP_NORM``."""
+        from repro.nn import training
+        seen = []
+        real = training.clip_gradients
+
+        def spy(grads, max_norm):
+            seen.append(max_norm)
+            return real(grads, max_norm)
+
+        monkeypatch.setattr(training, "clip_gradients", spy)
+        x, y = toy_problem(rng, n=20)
+        net = build_manual_lstm(4, 1, input_dim=2, output_dim=2, rng=0)
+        Trainer(epochs=2, batch_size=8).fit(net, x, y, rng=0)
+        assert seen == [training.CLIP_NORM] * 6  # 2 epochs x 3 batches
 
 
 class TestHistory:

@@ -106,6 +106,25 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="retrain_every"):
             PipelineConfig(retrain_every=0)
 
+    @pytest.mark.parametrize("flags,match", [
+        (["--batch-size", "0"], "batch_size"),
+        (["--epochs", "-1"], "epochs"),
+        (["--learning-rate", "-0.01"], "learning_rate"),
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--units", "0"], "lstm_units"),
+    ])
+    def test_cli_refuses_bad_protocol_before_writing_state(
+            self, tmp_path, capsys, flags, match):
+        """A retrain protocol that cannot train is refused up front: no
+        state file pins it for every later resume to trip over."""
+        from repro.cli import pipeline_main
+        code = pipeline_main(["run", "--state", str(tmp_path / "S"),
+                              "--registry", str(tmp_path / "R"),
+                              "--weeks", "200", *flags])
+        assert code == 2
+        assert match in capsys.readouterr().err
+        assert not list(tmp_path.glob("S*"))
+
 
 @pytest.fixture()
 def registry(tmp_path):
