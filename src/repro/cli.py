@@ -515,9 +515,6 @@ def benchmark_main(argv: list[str]) -> int:
     sweep.add_argument("--base-seed", type=int, default=0, metavar="S",
                        dest="base_seed",
                        help="campaign i uses seed S+i (default: 0)")
-    sweep.add_argument("--surrogate", choices=("ridge", "knn"),
-                       default="ridge",
-                       help="off-table fallback model (default: ridge)")
     sweep.add_argument("--report", default=None, metavar="PATH",
                        help="write the sweep report JSON here")
     sweep.add_argument("--obs", action="store_true",
@@ -545,8 +542,9 @@ def benchmark_main(argv: list[str]) -> int:
         return 0
 
     if args.action == "info":
-        from repro.nas import read_archive_header
+        from repro.nas import load_archive, read_archive_header
         try:
+            load_archive(args.archive)  # checks the header vs the records
             header = read_archive_header(args.archive)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -575,8 +573,7 @@ def benchmark_main(argv: list[str]) -> int:
     if args.obs:
         obs.enable()
     try:
-        evaluator = BenchmarkEvaluator(args.archive,
-                                       surrogate=args.surrogate)
+        evaluator = BenchmarkEvaluator(args.archive)
     except (OSError, ValueError) as exc:
         print(f"error: --archive rejected: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,8 @@ Subpackages:
 * :mod:`repro.nas.surrogate` — the calibrated architecture quality/cost
   model that stands in for single-node Theta trainings at scale;
 * :mod:`repro.nas.benchmark` — tabular NAS benchmark archives
-  (precomputed evaluation tables + surrogate-fit fallback,
-  docs/NAS_BENCHMARK.md);
+  (precomputed evaluation tables and per-epoch curves + a ridge
+  fallback for off-table asks, docs/NAS_BENCHMARK.md);
 * :mod:`repro.nas.multifidelity` — successive-halving / Hyperband budget
   schedulers over truncated-training fidelities (docs/SEARCH.md).
 """
@@ -54,7 +54,6 @@ from repro.nas.benchmark import (
     ARCHIVE_VERSION,
     ArchitectureArchive,
     BenchmarkEvaluator,
-    CurveUnavailableError,
     build_archive,
     load_archive,
     read_archive_header,
@@ -101,7 +100,6 @@ __all__ = [
     "ARCHIVE_VERSION",
     "ArchitectureArchive",
     "BenchmarkEvaluator",
-    "CurveUnavailableError",
     "build_archive",
     "load_archive",
     "read_archive_header",

@@ -127,9 +127,6 @@ class DistributedRL(SearchAlgorithm):
                 all_rewards.extend(rew)
         return all_rewards
 
-    def mean_policy_entropy(self) -> float:
-        return float(np.mean([a.policy_entropy() for a in self.agents]))
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------

@@ -7,27 +7,28 @@ Surrogate NAS Benchmarks line of work (PAPERS.md), this module collapses
 that cost with a precomputed benchmark:
 
 * :func:`build_archive` sweeps a search space through the
-  :class:`~repro.nas.surrogate.ArchitecturePerformanceModel` (or any
-  :class:`~repro.nas.evaluation.Evaluator`, e.g. real short trainings)
-  and writes a versioned, pickle-free ``.npz`` artifact of
-  ``(architecture encoding -> reward, cost, training curve)`` records
-  through :mod:`repro.durable` (atomic write, versioned header);
-* :class:`BenchmarkEvaluator` answers asks from the table, falling back
-  to a surrogate fitted on the archive (ridge or k-NN over the one-hot
-  architecture feature vector) for off-table points — so any searcher
-  runs a full campaign in seconds instead of hours.
+  :class:`~repro.nas.surrogate.ArchitecturePerformanceModel` and writes
+  a versioned, pickle-free ``.npz`` artifact of ``(architecture encoding
+  -> reward, cost, per-epoch training curve)`` records through
+  :mod:`repro.durable` (atomic write, versioned header);
+  :func:`load_archive` checks that header against the records;
+* :class:`BenchmarkEvaluator` answers asks at any epoch budget from the
+  table, falling back to a ridge regression fitted on the archive (over
+  the one-hot architecture feature vector) for off-table points — so any
+  searcher runs a full campaign in seconds instead of hours.
 
 Determinism contract
 --------------------
-For an architecture **in the table**, :meth:`BenchmarkEvaluator.evaluate`
-draws the identical per-evaluation noise stream (one quality draw, one
-cost draw) that :class:`~repro.nas.evaluation.SurrogateEvaluator` draws,
-on top of the archived noise-free quality/mean-cost — so a campaign
-served from the archive is **bitwise identical** to the campaign that
-would have paid per-candidate simulated training, in both in-loop and
-backend evaluation modes (tests/test_nas_benchmark.py). Off-table
-predictions are deterministic functions of the archive alone: two
-evaluators loaded from the same file predict identically.
+For an architecture **in the table**, :class:`BenchmarkEvaluator`
+draws, at any budget, the identical per-evaluation noise stream (one
+quality draw, one cost draw) that
+:class:`~repro.nas.evaluation.SurrogateEvaluator` draws, on top of the
+archived noise-free quality/mean cost — so a campaign served from the
+archive is **bitwise identical** to the campaign that would have paid
+per-candidate simulated training, in both in-loop and backend
+evaluation modes (tests/test_nas_benchmark.py). Off-table predictions
+are deterministic functions of the archive alone: two evaluators loaded
+from the same file predict identically.
 
 Campaign checkpoints (docs/CHECKPOINTING.md) treat the backend as just
 another stream: the archive's SHA-256 content digest is recorded in the
@@ -44,6 +45,7 @@ repeats a campaign across seeds and emits a versioned report
 from __future__ import annotations
 
 import hashlib
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -58,18 +60,11 @@ from repro.nas.space.search_space import Architecture, StackedLSTMSpace
 from repro.nas.surrogate import ArchitecturePerformanceModel
 from repro.utils.rng import as_generator, as_seed_sequence, child_sequence
 
-__all__ = ["ARCHIVE_FORMAT", "ARCHIVE_VERSION", "SWEEP_FORMAT",
-           "SWEEP_VERSION", "ArchitectureArchive", "BenchmarkEvaluator",
-           "CurveUnavailableError", "build_archive", "load_archive",
+__all__ = ["ARCHIVE_FORMAT", "ARCHIVE_VERSION", "RIDGE_LAMBDA",
+           "SWEEP_FORMAT", "SWEEP_VERSION", "ArchitectureArchive",
+           "BenchmarkEvaluator", "build_archive", "load_archive",
            "read_archive_header", "run_benchmark_campaign",
            "run_seed_sweep", "validate_sweep_report"]
-
-
-class CurveUnavailableError(ValueError):
-    """A fidelity-truncated ask hit an archive built without per-epoch
-    curves (``build_archive(..., with_curves=False)``). Typed so
-    multi-fidelity schedulers can distinguish "this archive cannot answer
-    low-fidelity asks" from a plain missing-architecture ``KeyError``."""
 
 #: Format tag of a benchmark archive artifact.
 ARCHIVE_FORMAT = "repro-nas-benchmark"
@@ -86,6 +81,10 @@ _DESCRIBE = "a NAS benchmark archive"
 #: Hard cap on exhaustive sweeps — asking for the paper's full 8.6M-point
 #: space by accident should fail fast, not thrash for hours.
 _EXHAUSTIVE_LIMIT = 200_000
+
+#: Penalty of the off-table ridge fallback; small enough that a
+#: linear-in-choices landscape is recovered at the archived points.
+RIDGE_LAMBDA = 1e-6
 
 #: Format tag / version of the multi-seed sweep report.
 SWEEP_FORMAT = "repro-nas-sweep-report"
@@ -159,61 +158,34 @@ class ArchitectureArchive:
         return {tuple(int(v) for v in row): i
                 for i, row in enumerate(self.encodings)}
 
-    @property
-    def has_curves(self) -> bool:
-        """False when built with ``with_curves=False`` (the curves array
-        is ``(n, 0)`` and low-fidelity asks cannot be answered)."""
-        return self.curves.shape[1] > 0
 
-    def curve(self, arch: Architecture) -> np.ndarray:
-        """The training curve recorded for an in-table architecture.
-
-        Raises :class:`CurveUnavailableError` when the archive was built
-        without curves, and ``KeyError`` when the architecture is simply
-        not in the table.
-        """
-        if not self.has_curves:
-            raise CurveUnavailableError(
-                f"archive was built without per-epoch curves "
-                f"(with_curves=False); rebuild with curves to answer "
-                f"fidelity-truncated asks")
-        key = tuple(int(v) for v in arch)
-        for i, row in enumerate(self.encodings):
-            if tuple(int(v) for v in row) == key:
-                return self.curves[i]
-        raise KeyError(f"architecture {key} is not in the archive")
-
-
-def build_archive(space: StackedLSTMSpace, model, path, *,
+def build_archive(space: StackedLSTMSpace,
+                  model: ArchitecturePerformanceModel, path, *,
                   architectures=None, n_samples: int | None = None,
-                  rng=None, epochs: int = 20, with_curves: bool = True,
+                  rng=None, epochs: int = 20,
                   metadata: dict | None = None):
     """Sweep ``space`` through ``model`` and write a benchmark archive.
 
+    Records hold the model's noise-free quality after 1..``epochs``
+    epochs and mean training cost at ``epochs``; the header carries its
+    noise levels, which the benchmark re-applies at ask time.
+
     Parameters
     ----------
-    model:
-        An :class:`ArchitecturePerformanceModel` (records its noise-free
-        ``quality``/``training_seconds`` plus the per-epoch curve), or any
-        :class:`~repro.nas.evaluation.Evaluator` — e.g. real short
-        trainings — whose measured reward/cost are recorded verbatim
-        (noise parameters zero: the benchmark replays the archived values
-        exactly).
     architectures:
         Explicit encodings to record. Default: exhaustive enumeration of
         the space (requires ``space.size`` <= 200k) unless ``n_samples``
         asks for that many *distinct* uniform samples instead.
     rng:
-        Seeds sampling and (Evaluator mode) the per-record task streams.
+        Seeds the sampling.
     epochs:
         Training budget of the recorded qualities and curve length.
-    with_curves:
-        False skips the per-epoch curves (smaller/faster builds); the
-        resulting archive answers full-budget asks only — fidelity-
-        truncated asks raise :class:`CurveUnavailableError`.
 
     Returns the path the archive actually lives at.
     """
+    if not isinstance(model, ArchitecturePerformanceModel):
+        raise TypeError(f"model must be an ArchitecturePerformanceModel, "
+                        f"got {type(model).__name__}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     gen = as_generator(rng)
@@ -248,58 +220,22 @@ def build_archive(space: StackedLSTMSpace, model, path, *,
 
     n = len(archs)
     encodings = np.asarray(archs, dtype=np.int64)
-    rewards = np.empty(n, dtype=np.float64)
     costs = np.empty(n, dtype=np.float64)
-    curves = np.empty((n, epochs if with_curves else 0), dtype=np.float64)
-
+    curves = np.empty((n, epochs), dtype=np.float64)
     with obs.scope("nas/benchmark/build"):
-        if isinstance(model, ArchitecturePerformanceModel):
-            fidelity = "surrogate-model"
-            noise = {"noise_std": float(model.noise_std),
-                     "time_noise_sigma": float(model.time_noise_sigma)}
-            for i, arch in enumerate(archs):
-                rewards[i] = model.quality(arch, epochs)
-                costs[i] = model.training_seconds(arch, rng=None,
-                                                  epochs=epochs)
-                if with_curves:
-                    for e in range(1, epochs + 1):
-                        curves[i, e - 1] = model.quality(arch, e)
-        elif isinstance(model, Evaluator):
-            # Measured-fidelity archive: the recorded values already
-            # include whatever noise the evaluation process has, so the
-            # benchmark replays them exactly (zero re-applied noise).
-            fidelity = "evaluator"
-            noise = {"noise_std": 0.0, "time_noise_sigma": 0.0}
-            task_root = as_seed_sequence(gen).spawn(1)[0]
-            for i, arch in enumerate(archs):
-                result = model.evaluate(
-                    arch, np.random.default_rng(
-                        child_sequence(task_root, i)))
-                rewards[i] = result.reward
-                costs[i] = result.duration
-                if not with_curves:
-                    continue
-                history = result.metadata.get("history")
-                val_r2 = getattr(history, "val_r2", None)
-                if val_r2:
-                    curve = np.asarray(val_r2, dtype=np.float64)
-                    k = min(len(curve), epochs)
-                    curves[i, :k] = curve[:k]
-                    curves[i, k:] = curve[k - 1]
-                else:
-                    curves[i, :] = result.reward
-        else:
-            raise TypeError(
-                f"model must be an ArchitecturePerformanceModel or an "
-                f"Evaluator, got {type(model).__name__}")
+        for i, arch in enumerate(archs):
+            curves[i] = [model.quality(arch, e) for e in range(1, epochs + 1)]
+            costs[i] = model.training_seconds(arch, rng=None, epochs=epochs)
+    rewards = curves[:, -1].copy()
 
     header = {
         "format": ARCHIVE_FORMAT, "version": ARCHIVE_VERSION,
         "space": _space_config(space),
         "epochs": int(epochs),
         "n_records": n,
-        "fidelity": fidelity,
-        "noise": noise,
+        "fidelity": "surrogate-model",
+        "noise": {"noise_std": float(model.noise_std),
+                  "time_noise_sigma": float(model.time_noise_sigma)},
         "digest": _content_digest(encodings, rewards, costs, curves),
         "metadata": dict(metadata or {}),
     }
@@ -318,29 +254,56 @@ def _read(path, arrays: bool = True) -> tuple[dict, dict]:
 
 
 def read_archive_header(path) -> dict:
-    """The validated JSON header of an archive, without loading records."""
+    """The envelope-checked JSON header of an archive, without loading
+    records (:func:`load_archive` checks the rest of it)."""
     return _read(path, arrays=False)[0]
 
 
 def load_archive(path) -> ArchitectureArchive:
-    """Load an archive written by :func:`build_archive`, verifying the
-    header (format/version) and the content digest (corruption check)."""
+    """Load an archive written by :func:`build_archive`.
+
+    Besides the envelope (format/version) and the content digest
+    (corruption check), the header must agree with the records: a
+    ``space`` the encodings fit, ``epochs`` an int >= 1 equal to the
+    curve width, finite non-negative ``noise`` levels and the true
+    ``n_records``. Any failure raises a ``ValueError`` naming the file.
+    """
     header, arrays = _read(path)
     missing = {"arch", "reward", "cost", "curve"} - set(arrays)
     if missing:
         raise ValueError(f"{path}: archive lacks arrays {sorted(missing)}")
-    space = _space_from_config(header["space"])
     encodings = np.asarray(arrays["arch"], dtype=np.int64)
     rewards = np.asarray(arrays["reward"], dtype=np.float64)
     costs = np.asarray(arrays["cost"], dtype=np.float64)
     curves = np.asarray(arrays["curve"], dtype=np.float64)
-    if not (len(encodings) == len(rewards) == len(costs) == len(curves)):
+    n = len(encodings)
+    if not (n == len(rewards) == len(costs) == len(curves)):
         raise ValueError(f"{path}: record arrays disagree on length")
+    if header.get("n_records") != n:
+        raise ValueError(f"{path}: header n_records "
+                         f"{header.get('n_records')!r} != {n} records")
+    try:
+        space = _space_from_config(header["space"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad header space "
+                         f"({type(exc).__name__}: {exc})") from exc
     if encodings.ndim != 2 or \
             encodings.shape[1] != space.n_variable_nodes:
         raise ValueError(
             f"{path}: encodings have shape {encodings.shape}, expected "
             f"(n, {space.n_variable_nodes}) for {space!r}")
+    epochs = header.get("epochs")
+    if isinstance(epochs, bool) or not isinstance(epochs, int) or \
+            epochs < 1 or curves.shape != (n, epochs):
+        raise ValueError(f"{path}: header epochs {epochs!r} must be an "
+                         f"int >= 1 matching the curve block "
+                         f"{curves.shape}")
+    noise = header.get("noise")
+    if not isinstance(noise, dict) or not all(
+            isinstance(noise.get(k), float) and math.isfinite(noise[k])
+            and noise[k] >= 0 for k in ("noise_std", "time_noise_sigma")):
+        raise ValueError(f"{path}: header noise {noise!r} must hold finite, "
+                         f"non-negative float noise_std and time_noise_sigma")
     digest = _content_digest(encodings, rewards, costs, curves)
     if digest != header.get("digest"):
         raise ValueError(
@@ -348,8 +311,7 @@ def load_archive(path) -> ArchitectureArchive:
             f"edited without rewriting the header)")
     return ArchitectureArchive(
         space=space, encodings=encodings, rewards=rewards, costs=costs,
-        curves=curves, epochs=int(header["epochs"]),
-        noise=dict(header["noise"]), digest=digest,
+        curves=curves, epochs=epochs, noise=dict(noise), digest=digest,
         metadata=dict(header.get("metadata", {})))
 
 
@@ -358,23 +320,17 @@ def load_archive(path) -> ArchitectureArchive:
 # ---------------------------------------------------------------------------
 
 class BenchmarkEvaluator(Evaluator):
-    """Answer evaluations from a benchmark archive (table, else surrogate).
+    """Answer evaluations from a benchmark archive (table, else ridge).
 
     In-table asks replay the archived noise-free quality/mean cost with
     the caller's per-evaluation noise draws applied on top — bitwise what
     :class:`~repro.nas.evaluation.SurrogateEvaluator` would have returned
-    (see module docstring). Off-table asks fall back to a surrogate
-    fitted once on the archive:
-
-    * ``surrogate="ridge"`` (default) — closed-form ridge regression over
-      the one-hot architecture feature vector (one indicator per
-      (variable node, choice) plus a bias), fitted separately for reward
-      and cost; exactly recovers any linear-in-choices landscape.
-    * ``surrogate="knn"`` — mean of the ``knn_k`` nearest table records
-      by Hamming distance over the encoding (stable tie-break by record
-      order).
-
-    Both fits are deterministic functions of the archive: no RNG, so two
+    (see module docstring). Off-table asks fall back to closed-form ridge
+    regression (penalty :data:`RIDGE_LAMBDA`) over the one-hot
+    architecture feature vector (one indicator per (variable node,
+    choice) plus a bias), fitted once on the archive, separately for
+    reward and cost; it exactly recovers any linear-in-choices landscape.
+    The fit is a deterministic function of the archive: no RNG, so two
     evaluators loaded from the same file predict identically. Obs
     counters ``nas/benchmark/table_hit`` / ``nas/benchmark/
     surrogate_miss`` meter the two paths.
@@ -383,24 +339,12 @@ class BenchmarkEvaluator(Evaluator):
     :class:`~repro.hpc.parallel.ParallelEvaluator` pool unchanged.
     """
 
-    def __init__(self, archive, *, surrogate: str = "ridge",
-                 ridge_lambda: float = 1e-6, knn_k: int = 8) -> None:
+    def __init__(self, archive) -> None:
         if not isinstance(archive, ArchitectureArchive):
             archive = load_archive(archive)
         super().__init__(archive.space)
-        if surrogate not in ("ridge", "knn"):
-            raise ValueError(f"surrogate must be 'ridge' or 'knn', "
-                             f"got {surrogate!r}")
-        if ridge_lambda <= 0:
-            raise ValueError(f"ridge_lambda must be positive, "
-                             f"got {ridge_lambda}")
-        if knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {knn_k}")
         self.archive = archive
         self.epochs = archive.epochs
-        self.surrogate = surrogate
-        self.ridge_lambda = float(ridge_lambda)
-        self.knn_k = int(knn_k)
         self._table = archive.index()
         self._fit: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -411,11 +355,13 @@ class BenchmarkEvaluator(Evaluator):
 
     def checkpoint_identity(self) -> dict:
         """What the v2 campaign checkpoint records about this backend: a
-        resume must present the same archive (by content digest)."""
+        resume must present the same archive (by content digest).
+        ``"surrogate"`` names the off-table fallback, always ridge; it is
+        kept so that checkpoints which recorded it still resume."""
         return {"kind": "nas-benchmark", "digest": self.archive.digest,
-                "epochs": self.epochs, "surrogate": self.surrogate}
+                "epochs": self.epochs, "surrogate": "ridge"}
 
-    # -- surrogate fallback ----------------------------------------------
+    # -- ridge fallback ----------------------------------------------------
     def _one_hot(self, encodings: np.ndarray) -> np.ndarray:
         cards = self.space.cardinalities
         offsets = np.concatenate(([0], np.cumsum(cards)[:-1]))
@@ -427,42 +373,53 @@ class BenchmarkEvaluator(Evaluator):
             x[rows, off + encodings[:, j]] = 1.0
         return x
 
-    def _ridge_weights(self) -> tuple[np.ndarray, np.ndarray]:
+    def _predict(self, arch: tuple) -> tuple[float, float]:
+        """Deterministic full-budget (quality, mean cost) for an
+        off-table point."""
         if self._fit is None:
             x = self._one_hot(self.archive.encodings)
-            gram = x.T @ x + self.ridge_lambda * np.eye(x.shape[1])
-            w_reward = np.linalg.solve(gram, x.T @ self.archive.rewards)
-            w_cost = np.linalg.solve(gram, x.T @ self.archive.costs)
-            self._fit = (w_reward, w_cost)
-        return self._fit
-
-    def _predict(self, arch: tuple) -> tuple[float, float]:
-        """Deterministic (quality, mean cost) for an off-table point."""
-        if self.surrogate == "ridge":
-            w_reward, w_cost = self._ridge_weights()
-            x = self._one_hot(np.asarray([arch], dtype=np.int64))[0]
-            return float(x @ w_reward), float(x @ w_cost)
-        distances = np.count_nonzero(
-            self.archive.encodings != np.asarray(arch, dtype=np.int64),
-            axis=1)
-        k = min(self.knn_k, self.archive.n_records)
-        nearest = np.argsort(distances, kind="stable")[:k]
-        return (float(np.mean(self.archive.rewards[nearest])),
-                float(np.mean(self.archive.costs[nearest])))
+            gram = x.T @ x + RIDGE_LAMBDA * np.eye(x.shape[1])
+            self._fit = (np.linalg.solve(gram, x.T @ self.archive.rewards),
+                         np.linalg.solve(gram, x.T @ self.archive.costs))
+        w_reward, w_cost = self._fit
+        x = self._one_hot(np.asarray([arch], dtype=np.int64))[0]
+        return float(x @ w_reward), float(x @ w_cost)
 
     # -- the Evaluator protocol ------------------------------------------
     def evaluate(self, arch: Architecture, rng=None) -> EvaluationResult:
+        return self.evaluate_at(arch, self.epochs, rng)
+
+    def evaluate_at(self, arch: Architecture, epochs: int,
+                    rng=None) -> EvaluationResult:
+        """Answer an ask at an ``epochs`` budget (multi-fidelity rungs).
+
+        In-table asks read the archived reward and cost at the full
+        budget and, below it, ``curves[i, epochs-1]`` with the cost
+        prorated to ``epochs``. Off-table asks take the ridge prediction,
+        shifted below the full budget by the table-mean truncation
+        offset and prorated alike.
+        """
+        epochs = int(epochs)
+        if not 1 <= epochs <= self.epochs:
+            raise ValueError(
+                f"epochs must be in [1, {self.epochs}], got {epochs}")
+        truncated = epochs < self.epochs
         gen = as_generator(rng)
         arch = self.space.validate(arch)
         with obs.scope("nas/evaluate/benchmark"):
             idx = self._table.get(arch)
-            if idx is not None:
-                quality = float(self.archive.rewards[idx])
-                mean_cost = float(self.archive.costs[idx])
-                source = "table"
-            else:
+            if idx is None:
                 quality, mean_cost = self._predict(arch)
-                source = "surrogate"
+                if truncated:  # shift by the table-mean truncation drop
+                    quality += float(np.mean(
+                        self.archive.curves[:, epochs - 1]
+                        - self.archive.rewards))
+            else:
+                quality = float(self.archive.curves[idx, epochs - 1]
+                                if truncated else self.archive.rewards[idx])
+                mean_cost = float(self.archive.costs[idx])
+            if truncated:
+                mean_cost *= epochs / self.epochs
         # Exactly SurrogateEvaluator's two per-evaluation draws, in order
         # — quality noise, then lognormal cost noise — so the caller's
         # stream advances identically and in-table results are bitwise
@@ -474,76 +431,15 @@ class BenchmarkEvaluator(Evaluator):
         duration = float(mean_cost * cost_noise)
         if obs.enabled():
             obs.counter_add("nas/evaluations")
-            obs.counter_add(f"nas/benchmark/"
-                            f"{'table_hit' if source == 'table' else 'surrogate_miss'}")
+            obs.counter_add("nas/benchmark/surrogate_miss" if idx is None
+                            else "nas/benchmark/table_hit")
             obs.counter_add("nas/simulated_seconds", duration)
         return EvaluationResult(
             architecture=arch, reward=reward, duration=duration,
             n_parameters=self.space.count_parameters(arch),
-            metadata={"fidelity": "benchmark", "source": source,
-                      "epochs": self.epochs})
-
-    def evaluate_at(self, arch: Architecture, epochs: int,
-                    rng=None) -> EvaluationResult:
-        """Fidelity-truncated ask, answered from the archived per-epoch
-        curves (multi-fidelity rungs).
-
-        In-table asks at ``epochs`` replay ``curves[i, epochs-1]`` — the
-        noise-free quality the performance model reports at that budget —
-        with the cost prorated to ``epochs``, then apply the same two
-        noise draws as :meth:`evaluate`; the result is bitwise what
-        :meth:`SurrogateEvaluator.evaluate_at
-        <repro.nas.evaluation.SurrogateEvaluator.evaluate_at>` returns.
-        Off-table asks shift the surrogate's full-budget prediction by
-        the table-mean truncation offset. Archives built with
-        ``with_curves=False`` raise :class:`CurveUnavailableError`.
-        """
-        epochs = int(epochs)
-        if not 1 <= epochs <= self.epochs:
-            raise ValueError(
-                f"epochs must be in [1, {self.epochs}], got {epochs}")
-        if epochs == self.epochs:
-            return self.evaluate(arch, rng)
-        if not self.archive.has_curves:
-            raise CurveUnavailableError(
-                f"archive {self.archive.digest[:12]} was built without "
-                f"per-epoch curves (with_curves=False) and cannot answer "
-                f"a {epochs}-epoch ask; rebuild the archive with curves")
-        gen = as_generator(rng)
-        arch = self.space.validate(arch)
-        with obs.scope("nas/evaluate/benchmark"):
-            idx = self._table.get(arch)
-            if idx is not None:
-                quality = float(self.archive.curves[idx, epochs - 1])
-                mean_cost = float(self.archive.costs[idx]) \
-                    * (epochs / self.epochs)
-                source = "table"
-            else:
-                full_quality, full_cost = self._predict(arch)
-                quality = full_quality + self._truncation_offset(epochs)
-                mean_cost = full_cost * (epochs / self.epochs)
-                source = "surrogate"
-        noise_std = float(self.archive.noise["noise_std"])
-        sigma = float(self.archive.noise["time_noise_sigma"])
-        reward = float(quality + gen.normal(0.0, noise_std))
-        cost_noise = np.exp(gen.normal(0.0, sigma) - 0.5 * sigma ** 2)
-        duration = float(mean_cost * cost_noise)
-        if obs.enabled():
-            obs.counter_add("nas/evaluations")
-            obs.counter_add(f"nas/benchmark/"
-                            f"{'table_hit' if source == 'table' else 'surrogate_miss'}")
-            obs.counter_add("nas/simulated_seconds", duration)
-        return EvaluationResult(
-            architecture=arch, reward=reward, duration=duration,
-            n_parameters=self.space.count_parameters(arch),
-            metadata={"fidelity": "benchmark", "source": source,
+            metadata={"fidelity": "benchmark",
+                      "source": "surrogate" if idx is None else "table",
                       "epochs": epochs})
-
-    def _truncation_offset(self, epochs: int) -> float:
-        """Table-mean quality drop of truncating training to ``epochs``
-        — the deterministic fidelity correction for off-table asks."""
-        return float(np.mean(self.archive.curves[:, epochs - 1]
-                             - self.archive.rewards))
 
 
 # ---------------------------------------------------------------------------

@@ -68,16 +68,10 @@ class HyperparameterGrid:
                                pod_rank=self.pod_ranks[r_i])
 
     def config(self) -> dict:
-        """JSON round-trip for checkpoint identity."""
+        """JSON form compared by checkpoint identity checks."""
         return {"learning_rates": list(self.learning_rates),
                 "windows": list(self.windows),
                 "pod_ranks": list(self.pod_ranks)}
-
-    @classmethod
-    def from_config(cls, config: dict) -> "HyperparameterGrid":
-        return cls(learning_rates=tuple(config["learning_rates"]),
-                   windows=tuple(config["windows"]),
-                   pod_ranks=tuple(config["pod_ranks"]))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HyperparameterGrid) \
@@ -147,12 +141,6 @@ class JointArchitectureSpace:
         encoding = self.validate(encoding)
         return (encoding[:-self.N_HYPER],
                 self.grid.decode(encoding[-self.N_HYPER:]))
-
-    def architecture_of(self, encoding) -> Architecture:
-        return self.split(encoding)[0]
-
-    def hyperparameters_of(self, encoding) -> Hyperparameters:
-        return self.split(encoding)[1]
 
     def index_of(self, encoding) -> int:
         encoding = self.validate(encoding)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ from repro.nas import (
     run_seed_sweep,
     validate_sweep_report,
 )
-from repro.nas.benchmark import ARCHIVE_FORMAT, ARCHIVE_VERSION
+from repro.nas.benchmark import ARCHIVE_FORMAT, ARCHIVE_VERSION, \
+    _content_digest
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,13 @@ def evaluator(archive):
     return BenchmarkEvaluator(archive)
 
 
+@pytest.fixture(scope="module")
+def partial_path(small_space, model, tmp_path_factory):
+    """64 sampled records: most small-space asks miss the table."""
+    path = tmp_path_factory.mktemp("nasb-partial") / "partial.npz"
+    return build_archive(small_space, model, path, n_samples=64, rng=11)
+
+
 # ---------------------------------------------------------------------------
 # Archive build / round-trip
 # ---------------------------------------------------------------------------
@@ -92,14 +101,6 @@ class TestArchiveRoundTrip:
         assert archive.curves.shape == (archive.n_records, archive.epochs)
         np.testing.assert_array_equal(archive.curves[:, -1],
                                       archive.rewards)
-
-    def test_curve_lookup_by_architecture(self, small_space, model,
-                                          archive):
-        arch = small_space.from_index(42)
-        curve = archive.curve(arch)
-        assert curve[4] == model.quality(arch, 5)
-        with pytest.raises(KeyError):
-            archive.curve((9, 9, 9, 9, 9, 9))  # raises in validate-free path
 
     def test_space_round_trips_through_header(self, small_space, archive):
         assert archive.space.cardinalities == small_space.cardinalities
@@ -143,6 +144,24 @@ class TestArchiveRoundTrip:
         with pytest.raises(ValueError, match="capped"):
             build_archive(paper, ArchitecturePerformanceModel(paper),
                           tmp_path / "huge.npz")
+
+
+def _rewrite(source, target, edit):
+    """Copy the archive at ``source`` to ``target`` after
+    ``edit(header, arrays)`` changed it in place."""
+    header = read_archive_header(source)
+    with np.load(source) as npz:
+        arrays = {n: npz[n] for n in npz.files if n != "__benchmark__"}
+    edit(header, arrays)
+    return write_npz_artifact(target, header, arrays, key="__benchmark__")
+
+
+def _drop_curves(header, arrays):
+    """The curve-less shape older builds could write: an (N, 0) curve
+    block under a header still claiming 20 epochs, digest rewritten."""
+    arrays["curve"] = arrays["curve"][:, :0]
+    header["digest"] = _content_digest(
+        arrays["arch"], arrays["reward"], arrays["cost"], arrays["curve"])
 
 
 class TestArchiveValidation:
@@ -189,6 +208,43 @@ class TestArchiveValidation:
                                   key="__benchmark__")
         with pytest.raises(ValueError, match="lacks arrays"):
             load_archive(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda h, a: h.update(epochs=30),
+                     id="epochs-wider-than-curves"),
+        pytest.param(lambda h, a: h.update(epochs=0), id="epochs-zero"),
+        pytest.param(lambda h, a: h.update(epochs="abc"),
+                     id="epochs-not-an-int"),
+        pytest.param(lambda h, a: h["noise"].pop("noise_std"),
+                     id="noise-std-missing"),
+        pytest.param(lambda h, a: h["noise"].update(noise_std="x"),
+                     id="noise-std-not-a-float"),
+        pytest.param(lambda h, a: h["noise"].update(noise_std=-0.1),
+                     id="noise-std-negative"),
+        pytest.param(lambda h, a: h["noise"].update(
+            time_noise_sigma=float("nan")), id="time-noise-sigma-nan"),
+        pytest.param(lambda h, a: h["space"].pop("max_skip_depth"),
+                     id="space-max-skip-depth-missing"),
+        pytest.param(lambda h, a: h.update(n_records=h["n_records"] + 1),
+                     id="n-records-wrong"),
+        pytest.param(_drop_curves, id="curve-less"),
+    ])
+    def test_refuses_bad_header_at_load(self, archive_path, tmp_path,
+                                        corrupt):
+        """A header that disagrees with its records, or holds values no
+        ask can use, is refused at load with one ValueError naming the
+        file — never a late IndexError/KeyError at the first ask."""
+        path = _rewrite(archive_path, tmp_path / "corrupt.npz", corrupt)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_archive(path)
+
+    def test_info_refuses_a_wrong_record_count(self, archive_path,
+                                               tmp_path, capsys):
+        from repro.cli import benchmark_main
+        path = _rewrite(archive_path, tmp_path / "miscount.npz",
+                        lambda h, a: h.update(n_records=7))
+        assert benchmark_main(["info", str(path)]) == 2
+        assert f"{path}: header n_records 7" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +329,12 @@ class TestEvaluatorSemantics:
         assert clone.evaluate(arch, np.random.default_rng(5)).reward == \
             evaluator.evaluate(arch, np.random.default_rng(5)).reward
 
-    def test_constructor_rejects_bad_options(self, archive):
-        with pytest.raises(ValueError, match="surrogate"):
-            BenchmarkEvaluator(archive, surrogate="forest")
-        with pytest.raises(ValueError, match="ridge_lambda"):
-            BenchmarkEvaluator(archive, ridge_lambda=0.0)
-        with pytest.raises(ValueError, match="knn_k"):
-            BenchmarkEvaluator(archive, knn_k=0)
-
 
 class TestSurrogateFallback:
-    @pytest.fixture(scope="class")
-    def partial_path(self, small_space, model, tmp_path_factory):
-        path = tmp_path_factory.mktemp("nasb-partial") / "partial.npz"
-        return build_archive(small_space, model, path, n_samples=64,
-                             rng=11)
-
-    @pytest.mark.parametrize("surrogate", ["ridge", "knn"])
     def test_off_table_predictions_are_deterministic(self, small_space,
-                                                     partial_path,
-                                                     surrogate):
-        ev_a = BenchmarkEvaluator(partial_path, surrogate=surrogate)
-        ev_b = BenchmarkEvaluator(partial_path, surrogate=surrogate)
+                                                     partial_path):
+        ev_a = BenchmarkEvaluator(partial_path)
+        ev_b = BenchmarkEvaluator(partial_path)
         in_table = {tuple(int(v) for v in row)
                     for row in load_archive(partial_path).encodings}
         seen_miss = 0
@@ -342,7 +382,7 @@ class TestSurrogateFallback:
 
         path = build_archive(small_space, _LinearModel(small_space),
                              tmp_path / "lin.npz", architectures=archs)
-        ev = BenchmarkEvaluator(path, ridge_lambda=1e-10)
+        ev = BenchmarkEvaluator(path)
         probe = archs[3]
         quality, _ = ev._predict(probe)
         assert quality == pytest.approx(
@@ -530,28 +570,37 @@ class TestPartialFidelity:
         with pytest.raises(ValueError, match="epochs"):
             evaluator.evaluate_at(arch, 21, np.random.default_rng(0))
 
-    def test_curveless_archive_raises_typed_error(self, small_space,
-                                                  model, tmp_path):
-        """An archive built without per-epoch curves answers full-budget
-        asks normally but refuses partial-fidelity ones with
-        CurveUnavailableError — a ValueError, never a bare KeyError."""
-        from repro.nas import CurveUnavailableError
-        path = build_archive(small_space, model, tmp_path / "flat.npz",
-                             with_curves=False)
-        archive = load_archive(path)
-        assert not archive.has_curves
-        assert archive.curves.shape == (archive.n_records, 0)
-        arch = small_space.from_index(7)
-        with pytest.raises(CurveUnavailableError, match="curves"):
-            archive.curve(arch)
-        assert issubclass(CurveUnavailableError, ValueError)
+    def test_full_budget_ask_is_evaluate_bitwise(self, small_space,
+                                                 partial_path):
+        """`evaluate_at(arch, archive.epochs, rng)` is `evaluate(arch,
+        rng)` bitwise, for in-table and off-table asks alike."""
+        ev = BenchmarkEvaluator(partial_path)
+        sources = set()
+        for rank in range(0, 512, 17):
+            arch = small_space.from_index(rank)
+            a = ev.evaluate_at(arch, ev.archive.epochs,
+                               np.random.default_rng(rank))
+            b = ev.evaluate(arch, np.random.default_rng(rank))
+            assert a.reward == b.reward and a.duration == b.duration
+            assert a.metadata == b.metadata
+            sources.add(b.metadata["source"])
+        assert sources == {"table", "surrogate"}
 
-        flat = BenchmarkEvaluator(archive)
-        full = flat.evaluate(arch, np.random.default_rng(3))
-        assert full.reward == pytest.approx(full.reward)
-        with pytest.raises(CurveUnavailableError, match="curves"):
-            flat.evaluate_at(arch, 5, np.random.default_rng(3))
-        # Full-budget asks through evaluate_at still work curveless.
-        again = flat.evaluate_at(arch, flat.epochs,
-                                 np.random.default_rng(3))
-        assert again.reward == full.reward
+    def test_off_table_truncation_shifts_by_the_table_mean_drop(
+            self, small_space, partial_path):
+        """Below the full budget an off-table ask is the full-budget
+        ridge answer shifted by the table-mean curve drop, with the cost
+        prorated; the two noise draws are the same."""
+        ev = BenchmarkEvaluator(partial_path)
+        archive = ev.archive
+        off = next(small_space.from_index(r) for r in range(512)
+                   if small_space.from_index(r) not in archive.index())
+        full = ev.evaluate(off, np.random.default_rng(4))
+        for epochs in (1, 4):
+            low = ev.evaluate_at(off, epochs, np.random.default_rng(4))
+            drop = np.mean(archive.curves[:, epochs - 1] - archive.rewards)
+            assert low.metadata["source"] == "surrogate"
+            assert low.reward - full.reward == pytest.approx(drop,
+                                                             abs=1e-12)
+            assert low.duration == pytest.approx(
+                full.duration * epochs / archive.epochs, rel=1e-12)
