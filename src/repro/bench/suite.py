@@ -502,7 +502,7 @@ def _serve_router_benchmark(workers: int) -> Benchmark:
     def make():
         import tempfile
 
-        from repro.serve import ModelRegistry, WorkerConfig
+        from repro.serve import EngineConfig, ModelRegistry
         from repro.serve.loadgen import run_router_loadgen
         from repro.serve.router import ForecastRouter
         emulator = _serve_emulator()
@@ -511,7 +511,7 @@ def _serve_router_benchmark(workers: int) -> Benchmark:
                                             activate=True)
         # max_batch=1 + cache off: every request occupies its worker for
         # the full pace, so throughput scales with worker overlap only.
-        worker_config = WorkerConfig(max_batch=1, cache_entries=0,
+        worker_config = EngineConfig(max_batch=1, cache_entries=0,
                                      pace_s=_ROUTER_PACE_SECONDS)
         router = ForecastRouter(registry_dir, n_workers=workers,
                                 worker_config=worker_config).start()

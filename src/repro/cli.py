@@ -697,7 +697,8 @@ def serve_main(argv: list[str]) -> int:
     import numpy as np
 
     from repro import obs
-    from repro.serve import ForecastEngine, ModelRegistry, run_loadgen
+    from repro.serve import (EngineConfig, ForecastEngine, ForecastRouter,
+                             ModelRegistry, run_loadgen, run_router_loadgen)
 
     if args.obs:
         obs.enable()
@@ -722,66 +723,56 @@ def serve_main(argv: list[str]) -> int:
         print(registry.report())
         acted = True
 
-    if args.router:
-        from repro.serve import WorkerConfig
-        from repro.serve.loadgen import run_router_loadgen
-        from repro.serve.router import ForecastRouter
+    if args.router or args.loadgen:
         name, emulator = registry.load(args.version)
-        if args.version is not None and name != registry.active():
+        if args.router and args.version is not None \
+                and name != registry.active():
             parser.error("--router serves the ACTIVE version; promote "
                          f"{args.version!r} first (--promote)")
         window = emulator.pipeline.window
         n_modes = emulator.pipeline.n_modes
-        worker_config = WorkerConfig(max_batch=args.max_batch)
-        with ForecastRouter(args.registry, n_workers=args.workers,
-                            worker_config=worker_config) as router:
-            host, port = router.address
-            print(f"router serving version {name!r} on {host}:{port} "
-                  f"with {args.workers} workers "
-                  f"(max_batch={args.max_batch})")
-            if args.loadgen:
-                pool_size = max(1, min(args.clients * args.requests, 128))
-                rng = np.random.default_rng(args.seed)
-                windows = rng.uniform(-1.0, 1.0,
-                                      size=(pool_size, window, n_modes))
-                mode = "process" if args.client_processes else "thread"
-                print(f"load: {args.clients} {mode} clients x "
-                      f"{args.requests} requests")
-                report = run_router_loadgen(
-                    (host, port), windows, clients=args.clients,
-                    requests_per_client=args.requests,
-                    processes=args.client_processes)
-                print(report.table())
-                if args.report is not None:
-                    report.dump(args.report)
-                    print(f"wrote {args.report}")
-            else:
-                print("serving until Ctrl-C...")
-                try:
-                    while True:
-                        time.sleep(1.0)
-                except KeyboardInterrupt:
-                    print("shutting down")
-    elif args.loadgen:
-        name, emulator = registry.load(args.version)
-        window = emulator.pipeline.window
-        n_modes = emulator.pipeline.n_modes
+        config = EngineConfig(max_batch=args.max_batch)
         # Request pool in scaled coefficient space; smaller than the run
         # so repeats exercise the response cache.
         pool_size = max(1, min(args.clients * args.requests, 128))
         rng = np.random.default_rng(args.seed)
         windows = rng.uniform(-1.0, 1.0, size=(pool_size, window, n_modes))
-        print(f"serving version {name!r} (window={window}, "
-              f"n_modes={n_modes}), load: {args.clients} clients x "
-              f"{args.requests} requests, max_batch={args.max_batch}")
-        with ForecastEngine(emulator, version=name,
-                            max_batch=args.max_batch) as engine:
-            report = run_loadgen(engine, windows, clients=args.clients,
-                                 requests_per_client=args.requests)
-        print(report.table())
-        if args.report is not None:
-            report.dump(args.report)
-            print(f"wrote {args.report}")
+        report = None
+        if args.router:
+            with ForecastRouter(args.registry, n_workers=args.workers,
+                                worker_config=config) as router:
+                host, port = router.address
+                print(f"router serving version {name!r} on {host}:{port} "
+                      f"with {args.workers} workers "
+                      f"(max_batch={args.max_batch})")
+                if args.loadgen:
+                    mode = "process" if args.client_processes else "thread"
+                    print(f"load: {args.clients} {mode} clients x "
+                          f"{args.requests} requests")
+                    report = run_router_loadgen(
+                        (host, port), windows, clients=args.clients,
+                        requests_per_client=args.requests,
+                        processes=args.client_processes)
+                else:
+                    print("serving until Ctrl-C...")
+                    try:
+                        while True:
+                            time.sleep(1.0)
+                    except KeyboardInterrupt:
+                        print("shutting down")
+        else:
+            print(f"serving version {name!r} (window={window}, "
+                  f"n_modes={n_modes}), load: {args.clients} clients x "
+                  f"{args.requests} requests, max_batch={args.max_batch}")
+            with ForecastEngine(emulator, version=name,
+                                config=config) as engine:
+                report = run_loadgen(engine, windows, clients=args.clients,
+                                     requests_per_client=args.requests)
+        if report is not None:
+            print(report.table())
+            if args.report is not None:
+                report.dump(args.report)
+                print(f"wrote {args.report}")
 
     if args.obs:
         print()

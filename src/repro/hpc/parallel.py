@@ -251,19 +251,15 @@ class ParallelEvaluator(EvaluationBackend):
         How many times a task is re-dispatched (always onto a fresh
         worker) after a crash, raise, or timeout before the failure
         surfaces as an :class:`EvaluationResult`.
-    serial_fallback:
-        Attempt one guarded in-process evaluation when pool retries are
-        exhausted for a non-timeout reason, and degrade to fully serial
-        operation when the pool itself cannot be (re)built.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (no re-import, instant startup), else ``spawn``.
+
+    Workers start with ``fork`` where available (no re-import, instant
+    startup), else with ``spawn``. A task whose retries run out for a
+    non-timeout reason gets one guarded in-process attempt.
     """
 
     def __init__(self, evaluator: Evaluator, n_workers: int = 2, *,
-                 task_timeout: float | None = None, max_retries: int = 2,
-                 serial_fallback: bool = True,
-                 start_method: str | None = None) -> None:
+                 task_timeout: float | None = None,
+                 max_retries: int = 2) -> None:
         super().__init__(evaluator)
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -275,7 +271,6 @@ class ParallelEvaluator(EvaluationBackend):
         self.n_workers = int(n_workers)
         self.task_timeout = task_timeout
         self.max_retries = int(max_retries)
-        self.serial_fallback = bool(serial_fallback)
         self.capacity = 2 * self.n_workers
         self._tasks: dict[int, _Task] = {}
         self._done: dict[int, EvaluationResult] = {}
@@ -288,10 +283,8 @@ class ParallelEvaluator(EvaluationBackend):
         self._busy_s = 0.0
         self._created_at = time.monotonic()
         try:
-            if start_method is None:
-                methods = mp.get_all_start_methods()
-                start_method = "fork" if "fork" in methods else "spawn"
-            self._ctx = mp.get_context(start_method)
+            self._ctx = mp.get_context(
+                "fork" if "fork" in mp.get_all_start_methods() else "spawn")
             self._evaluator_blob = pickle.dumps(evaluator)
             obs.counter_add("parallel/pickle_bytes_out",
                             len(self._evaluator_blob) * self.n_workers)
@@ -496,7 +489,7 @@ class ParallelEvaluator(EvaluationBackend):
                           timed_out: bool) -> None:
         # A timed-out evaluator would hang the parent too; only crash /
         # raise exhaustion earns the guarded in-process attempt.
-        if self.serial_fallback and not timed_out:
+        if not timed_out:
             obs.counter_add("parallel/serial_fallbacks")
             try:
                 result = _evaluate_task(self.evaluator, task.arch,

@@ -12,8 +12,9 @@ cheaper than the process model — into a deployable, versioned service:
   concurrent requests into stacked forward passes, with admission
   control, per-request timeouts and an LRU response cache, under a
   bitwise determinism contract;
-* :mod:`repro.serve.loadgen` — a closed-loop load generator producing
-  throughput / p50-p95-p99 SLO reports.
+* :mod:`repro.serve.loadgen` — one closed-loop load client, run as
+  threads against an engine or as threads or processes against a
+  router, producing throughput / p50-p95-p99 SLO reports.
 
 The distributed tier scales the same contract across processes:
 
@@ -24,6 +25,10 @@ The distributed tier scales the same contract across processes:
   worker processes and their lifecycle;
 * :mod:`repro.serve.router` — the socket front: sharded routing,
   zero-downtime promote, bounded retry-on-respawn.
+
+:class:`~repro.serve.engine.EngineConfig` is the one tuning object of
+the tier: it configures the in-process engine and, passed unchanged,
+every router worker's engine.
 
 CLI: ``python -m repro.cli serve`` (see ``--help``; ``--router``
 starts the multi-process tier).
@@ -45,9 +50,7 @@ from repro.serve.protocol import (BadMagic, FrameTooLarge, ProtocolError,
                                   WorkerUnavailable, decode_message,
                                   encode_frame, encode_message, read_frame)
 from repro.serve.registry import ModelRegistry
-from repro.serve.router import (ForecastRouter, RoutedForecast,
-                                RouterClient, RouterConfig)
-from repro.serve.worker import WorkerConfig
+from repro.serve.router import ForecastRouter, RoutedForecast, RouterClient
 
 __all__ = [
     "BUNDLE_FORMAT", "BUNDLE_VERSION",
@@ -63,6 +66,5 @@ __all__ = [
     "RouterShutdown", "WorkerUnavailable",
     "encode_message", "decode_message", "encode_frame", "read_frame",
     "ConsistentHashRing",
-    "WorkerConfig",
-    "ForecastRouter", "RouterClient", "RouterConfig", "RoutedForecast",
+    "ForecastRouter", "RouterClient", "RoutedForecast",
 ]

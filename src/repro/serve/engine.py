@@ -42,6 +42,11 @@ from repro.serve.cache import ForecastCache, window_digest
 __all__ = ["EngineOverloaded", "ForecastTimeout", "EngineStopped",
            "EngineConfig", "ForecastEngine"]
 
+#: Wake-up interval of an idle engine worker, so it notices
+#: :meth:`ForecastEngine.stop`. It does not delay queued requests: the
+#: worker blocks directly on the queue.
+IDLE_POLL_S = 0.02
+
 
 class EngineOverloaded(RuntimeError):
     """The request queue is at capacity; the request was shed."""
@@ -64,6 +69,10 @@ class EngineStopped(RuntimeError):
 class EngineConfig:
     """Tuning knobs of a :class:`ForecastEngine`.
 
+    The one tuning object of the serving tier: a
+    :class:`~repro.serve.router.ForecastRouter` passes its
+    ``worker_config`` unchanged to every worker process's engine.
+
     Parameters
     ----------
     max_batch:
@@ -73,13 +82,12 @@ class EngineConfig:
         shed with :class:`EngineOverloaded`.
     default_timeout_s:
         Per-request wait bound used when :meth:`ForecastEngine.forecast`
-        is called without an explicit timeout.
+        (or a pending request's ``result()``) is called without an
+        explicit timeout. A router worker waits out each request with
+        it, and its expiry reaches the client as a typed ``timeout``
+        error rather than a socket stall.
     cache_entries:
         LRU response-cache capacity; 0 disables caching.
-    poll_interval_s:
-        Worker wake-up interval for noticing :meth:`ForecastEngine.stop`
-        while idle (does not delay queued requests — the worker blocks
-        directly on the queue).
     pace_s:
         Artificial service-time floor per drained batch (seconds); the
         worker sleeps out the remainder after inference. 0 (the
@@ -95,7 +103,6 @@ class EngineConfig:
     max_queue: int = 64
     default_timeout_s: float = 10.0
     cache_entries: int = 256
-    poll_interval_s: float = 0.02
     pace_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -109,9 +116,6 @@ class EngineConfig:
         if self.cache_entries < 0:
             raise ValueError(f"cache_entries must be >= 0, "
                              f"got {self.cache_entries}")
-        if self.poll_interval_s <= 0:
-            raise ValueError(f"poll_interval_s must be positive, "
-                             f"got {self.poll_interval_s}")
         if self.pace_s < 0:
             raise ValueError(f"pace_s must be >= 0, got {self.pace_s}")
 
@@ -298,7 +302,7 @@ class ForecastEngine:
         cfg = self.config
         while not self._stop.is_set():
             try:
-                first = self._queue.get(timeout=cfg.poll_interval_s)
+                first = self._queue.get(timeout=IDLE_POLL_S)
             except queue.Empty:
                 continue
             batch = [first]

@@ -8,10 +8,11 @@ fleet's effective cache capacity is the *sum* of the shards.
 
 Plain ``hash(key) % N`` would do that too — until N changes, at which
 point almost every key moves and the whole fleet's cache goes cold. A
-consistent-hash ring places ``replicas`` virtual points per shard on a
-64-bit circle and assigns a key to the first point at or after its own
-hash: growing N -> N+1 moves only ~1/(N+1) of the keys (those closest to
-the new shard's points), and everything else stays warm.
+consistent-hash ring places :data:`REPLICAS` (64) virtual points per
+shard on a 64-bit circle and assigns a key to the first point at or
+after its own hash: growing N -> N+1 moves only ~1/(N+1) of the keys
+(those closest to the new shard's points), and everything else stays
+warm. The replica count is fixed, so a key's shard depends only on N.
 
 All hashing is SHA-256 over explicit strings — **no** Python ``hash()``,
 whose value changes per process under ``PYTHONHASHSEED`` randomization.
@@ -28,8 +29,9 @@ __all__ = ["ConsistentHashRing"]
 
 #: Virtual points per shard. 64 keeps the max/mean shard-load ratio
 #: within a few percent for realistic key volumes while the ring stays
-#: a few hundred entries — bisect lookup is ~'100 ns.
-DEFAULT_REPLICAS = 64
+#: a few hundred entries — bisect lookup is ~100 ns. Fixed: a different
+#: count would move keys between shards.
+REPLICAS = 64
 
 
 def _point(label: str) -> int:
@@ -44,23 +46,17 @@ class ConsistentHashRing:
     Parameters
     ----------
     n_shards:
-        Number of shards (engine workers).
-    replicas:
-        Virtual points per shard; more replicas -> smoother balance,
-        larger ring.
+        Number of shards (engine workers), each placed at
+        :data:`REPLICAS` points.
     """
 
-    def __init__(self, n_shards: int, *,
-                 replicas: int = DEFAULT_REPLICAS) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.n_shards = int(n_shards)
-        self.replicas = int(replicas)
         points: dict[int, int] = {}
         for shard in range(self.n_shards):
-            for replica in range(self.replicas):
+            for replica in range(REPLICAS):
                 position = _point(f"shard:{shard}:{replica}")
                 # A 64-bit collision between labels is vanishingly rare;
                 # resolve to the lowest shard id so ties are deterministic.
@@ -84,5 +80,4 @@ class ConsistentHashRing:
         return len(self._positions)
 
     def __repr__(self) -> str:
-        return (f"ConsistentHashRing(n_shards={self.n_shards}, "
-                f"replicas={self.replicas})")
+        return f"ConsistentHashRing(n_shards={self.n_shards})"

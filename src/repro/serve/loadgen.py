@@ -1,22 +1,38 @@
-"""Closed-loop load generator and SLO report for the forecast engine.
+"""Closed-loop load generator and SLO report for the forecast engine and
+the sharded router.
 
-``run_loadgen`` drives a running :class:`~repro.serve.engine.ForecastEngine`
-with ``clients`` concurrent closed-loop workers (each issues its next
-request the moment the previous response lands — the standard
-throughput-at-offered-concurrency harness) and aggregates per-request
-wall-clock latencies into an :class:`SLOReport`: throughput plus
-p50/p95/p99 tail latency, the numbers a serving SLO is written against.
+One closed-loop client serves every load mode: it connects, waits at
+the start barrier, then walks the request pool round-robin from its own
+offset, issuing its next request the moment the previous response lands
+(the standard throughput-at-offered-concurrency harness) and timing
+each one. :func:`run_loadgen` runs ``clients`` of them as threads
+against a running :class:`~repro.serve.engine.ForecastEngine`;
+:func:`run_router_loadgen` runs them as threads or as OS processes
+against a :class:`~repro.serve.router.ForecastRouter` socket, each on
+its own connection. One summary aggregates the per-request wall-clock
+latencies into an :class:`SLOReport`: throughput plus p50/p95/p99 tail
+latency, the numbers a serving SLO is written against.
+
+A request that is shed, times out or fails — or is never sent because
+its client could not connect — counts as an error, not a retry. A run
+that served no request reports zero throughput and zero latencies, and
+its report still validates.
 
 Percentiles use the nearest-rank definition on the sorted sample — no
 interpolation, so a report is exactly reproducible from its latency
-sample. Results feed :mod:`repro.obs` gauges (``serve/loadgen/*``) and
-the ``serve_*`` entries of BENCH_core.json.
+sample. Results feed :mod:`repro.obs` gauges (``serve/loadgen/*`` for
+the engine, ``serve/router_loadgen/*`` for the router) and the
+``serve_*`` entries of BENCH_core.json.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
+import multiprocessing as mp
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -25,6 +41,7 @@ import numpy as np
 
 from repro import obs
 from repro.serve.engine import ForecastEngine
+from repro.serve.router import RouterClient
 
 __all__ = ["SLOReport", "run_loadgen", "run_router_loadgen",
            "nearest_rank_percentile", "validate_slo_report",
@@ -59,7 +76,7 @@ class SLOReport:
     duration_s: float
     throughput_rps: float
     latency_ms: dict = field(default_factory=dict)  # mean/p50/p95/p99/max
-    engine: dict = field(default_factory=dict)      # engine.stats() snapshot
+    engine: dict = field(default_factory=dict)  # engine or router stats()
 
     def as_json(self) -> dict:
         """JSON-compatible export (schema: docs/SERVING.md)."""
@@ -94,11 +111,19 @@ class SLOReport:
         lines.append(f"  latency max      "
                      f"{lat.get('max', float('nan')):10.3f} ms")
         if self.engine:
+            # A router report carries one engine entry per shard.
+            engines = [shard["engine"]
+                       for shard in self.engine.get("shards", ())
+                       if shard.get("engine")] or [self.engine]
+            batches = sum(e.get("n_batches", 0) for e in engines)
+            batched = sum(e.get("mean_batch_size", 0.0) * e.get("n_batches", 0)
+                          for e in engines)
+            hits = sum(e.get("cache", {}).get("hits", 0) for e in engines)
+            misses = sum(e.get("cache", {}).get("misses", 0)
+                         for e in engines)
             lines.append(f"  mean batch size  "
-                         f"{self.engine.get('mean_batch_size', 0.0):10.2f}")
-            cache = self.engine.get("cache", {})
-            lines.append(f"  cache hits/miss  "
-                         f"{cache.get('hits', 0)}/{cache.get('misses', 0)}")
+                         f"{batched / batches if batches else 0.0:10.2f}")
+            lines.append(f"  cache hits/miss  {hits}/{misses}")
         return "\n".join(lines)
 
 
@@ -127,10 +152,113 @@ def validate_slo_report(data) -> None:
         raise ValueError("latency percentiles must be monotone: "
                          f"p50={lat['p50']} p95={lat['p95']} "
                          f"p99={lat['p99']} max={lat['max']}")
-    if data["n_requests"] > 0 and data["duration_s"] > 0 \
+    served = data["n_requests"] - data["n_errors"]
+    if served > 0 and data["duration_s"] > 0 \
             and data["throughput_rps"] <= 0:
-        raise ValueError("throughput_rps must be positive for a "
-                         "non-empty run")
+        raise ValueError("throughput_rps must be positive for a run that "
+                         "served requests")
+
+
+def _check_load(windows, clients: int,
+                requests_per_client: int) -> np.ndarray:
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
+    if requests_per_client < 1:
+        raise ValueError(f"requests_per_client must be >= 1, "
+                         f"got {requests_per_client}")
+    pool = np.ascontiguousarray(windows, dtype=np.float64)
+    if pool.ndim != 3 or pool.shape[0] == 0:
+        raise ValueError(f"windows must be a non-empty "
+                         f"(n, window, n_modes) array, got {pool.shape}")
+    return pool
+
+
+def _client(connect, pool: np.ndarray, index: int,
+            requests_per_client: int, timeout_s: float | None, barrier,
+            results) -> None:
+    """One closed-loop client, as a thread or a process.
+
+    ``connect()`` returns a context manager whose value has
+    ``forecast(window, timeout=)``. The client reaches the barrier even
+    if it cannot connect, and always puts its latency sample (ms) on
+    ``results``: a request missing from it counts as an error.
+    """
+    latencies: list[float] = []
+    session = None
+    try:
+        try:
+            session = connect()
+        except OSError:
+            pass  # every request of this client counts as an error
+        finally:
+            barrier.wait()  # the run starts with or without this client
+        if session is not None:
+            with session as client:
+                for i in range(requests_per_client):
+                    window = pool[(index * requests_per_client + i)
+                                  % len(pool)]
+                    t0 = time.perf_counter()
+                    try:
+                        client.forecast(window, timeout=timeout_s)
+                    except Exception:
+                        continue
+                    latencies.append((time.perf_counter() - t0) * 1e3)
+    finally:
+        results.put(latencies)
+
+
+def _run_clients(connect, pool: np.ndarray, *, clients: int,
+                 requests_per_client: int, timeout_s: float | None,
+                 processes: bool) -> tuple[list[float], float]:
+    """Run ``clients`` closed-loop clients from one start barrier; the
+    pooled latency sample (ms) and the run's duration (s)."""
+    if processes:
+        ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
+        barrier, results = ctx.Barrier(clients + 1), ctx.Queue()
+        runner = ctx.Process
+    else:
+        barrier, results = threading.Barrier(clients + 1), queue.Queue()
+        runner = threading.Thread
+    runners = [runner(target=_client,
+                      args=(connect, pool, i, requests_per_client,
+                            timeout_s, barrier, results),
+                      daemon=True, name=f"repro-loadgen-{i}")
+               for i in range(clients)]
+    for each in runners:
+        each.start()
+    barrier.wait()
+    t_start = time.perf_counter()
+    latencies = [lat for _ in runners for lat in results.get()]
+    duration_s = time.perf_counter() - t_start
+    for each in runners:
+        each.join()
+    return latencies, duration_s
+
+
+def _summarize(latencies_ms: list[float], duration_s: float, *,
+               clients: int, requests_per_client: int, stats: dict,
+               gauges: str) -> SLOReport:
+    """Aggregate one run's latency sample into a validated report."""
+    flat = sorted(latencies_ms)
+    n_requests = clients * requests_per_client
+    throughput = len(flat) / duration_s if duration_s > 0 else 0.0
+    if flat:
+        latency = {"mean": float(sum(flat) / len(flat)),
+                   "max": float(flat[-1])}
+        for q in _PERCENTILES:
+            latency[f"p{q:g}"] = nearest_rank_percentile(flat, q)
+    else:
+        latency = {"mean": 0.0, "max": 0.0}
+        latency.update({f"p{q:g}": 0.0 for q in _PERCENTILES})
+    obs.gauge_set(f"{gauges}/throughput_rps", throughput)
+    obs.gauge_set(f"{gauges}/p95_ms", latency["p95"])
+    report = SLOReport(clients=clients, n_requests=n_requests,
+                       n_errors=n_requests - len(flat),
+                       duration_s=duration_s, throughput_rps=throughput,
+                       latency_ms=latency, engine=stats)
+    validate_slo_report(report.as_json())
+    return report
 
 
 def run_loadgen(engine: ForecastEngine, windows, *, clients: int = 4,
@@ -146,130 +274,16 @@ def run_loadgen(engine: ForecastEngine, windows, *, clients: int = 4,
     errors, not retried (the report shows the shed rate the
     configuration sustains).
     """
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    if requests_per_client < 1:
-        raise ValueError(f"requests_per_client must be >= 1, "
-                         f"got {requests_per_client}")
-    pool = np.asarray(windows, dtype=np.float64)
-    if pool.ndim != 3 or pool.shape[0] == 0:
-        raise ValueError(f"windows must be a non-empty "
-                         f"(n, window, n_modes) array, got {pool.shape}")
+    pool = _check_load(windows, clients, requests_per_client)
     if not engine.running:
         raise RuntimeError("engine is not running")
-
-    latencies_ms: list[list[float]] = [[] for _ in range(clients)]
-    errors = [0] * clients
-    barrier = threading.Barrier(clients + 1)
-
-    def client(index: int) -> None:
-        barrier.wait()
-        for i in range(requests_per_client):
-            window = pool[(index * requests_per_client + i) % pool.shape[0]]
-            t0 = time.perf_counter()
-            try:
-                engine.forecast(window, timeout=timeout_s)
-            except Exception:
-                errors[index] += 1
-                continue
-            latencies_ms[index].append(
-                (time.perf_counter() - t0) * 1e3)
-
-    threads = [threading.Thread(target=client, args=(i,),
-                                name=f"repro-loadgen-{i}")
-               for i in range(clients)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    t_start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    duration_s = time.perf_counter() - t_start
-
-    flat = sorted(lat for per_client in latencies_ms for lat in per_client)
-    n_requests = clients * requests_per_client
-    n_errors = sum(errors)
-    n_served = len(flat)
-    throughput = n_served / duration_s if duration_s > 0 else 0.0
-    if flat:
-        latency = {"mean": float(sum(flat) / n_served),
-                   "max": float(flat[-1])}
-        for q in _PERCENTILES:
-            latency[f"p{q:g}"] = nearest_rank_percentile(flat, q)
-    else:
-        latency = {"mean": 0.0, "max": 0.0}
-        latency.update({f"p{q:g}": 0.0 for q in _PERCENTILES})
-    obs.gauge_set("serve/loadgen/throughput_rps", throughput)
-    obs.gauge_set("serve/loadgen/p95_ms", latency["p95"])
-    report = SLOReport(clients=clients, n_requests=n_requests,
-                       n_errors=n_errors, duration_s=duration_s,
-                       throughput_rps=throughput, latency_ms=latency,
-                       engine=engine.stats())
-    validate_slo_report(report.as_json())
-    return report
-
-
-def _summarize(latencies_ms, errors, *, clients: int,
-               requests_per_client: int, duration_s: float,
-               stats: dict) -> SLOReport:
-    """Aggregate per-client samples into a validated report."""
-    flat = sorted(lat for per_client in latencies_ms for lat in per_client)
-    n_served = len(flat)
-    throughput = n_served / duration_s if duration_s > 0 else 0.0
-    if flat:
-        latency = {"mean": float(sum(flat) / n_served),
-                   "max": float(flat[-1])}
-        for q in _PERCENTILES:
-            latency[f"p{q:g}"] = nearest_rank_percentile(flat, q)
-    else:
-        latency = {"mean": 0.0, "max": 0.0}
-        latency.update({f"p{q:g}": 0.0 for q in _PERCENTILES})
-    report = SLOReport(clients=clients,
-                       n_requests=clients * requests_per_client,
-                       n_errors=sum(errors), duration_s=duration_s,
-                       throughput_rps=throughput, latency_ms=latency,
-                       engine=stats)
-    validate_slo_report(report.as_json())
-    return report
-
-
-def _router_client_main(address, pool_bytes: bytes, shape, index: int,
-                        requests_per_client: int,
-                        timeout_s: float | None, barrier,
-                        results_queue) -> None:
-    """One closed-loop client *process* of :func:`run_router_loadgen`.
-
-    Module-level (picklable) so the process mode works under any
-    multiprocessing start method. Connects first, then synchronizes on
-    the barrier so every client opens fire together.
-    """
-    from repro.serve.router import RouterClient
-    pool = np.frombuffer(pool_bytes, dtype=np.float64).reshape(shape)
-    latencies: list[float] = []
-    errors = 0
-    try:
-        with RouterClient(tuple(address),
-                          timeout_s=timeout_s or 30.0) as client:
-            barrier.wait()
-            for i in range(requests_per_client):
-                window = pool[(index * requests_per_client + i)
-                              % shape[0]]
-                t0 = time.perf_counter()
-                try:
-                    client.forecast(window, timeout=timeout_s)
-                except Exception:
-                    errors += 1
-                    continue
-                latencies.append((time.perf_counter() - t0) * 1e3)
-    except Exception:
-        # Connection never came up: report every request as an error
-        # rather than hanging the parent on a missing queue entry.
-        errors = requests_per_client - len(latencies)
-        try:
-            barrier.abort()
-        except Exception:
-            pass
-    results_queue.put((index, latencies, errors))
+    latencies, duration_s = _run_clients(
+        functools.partial(contextlib.nullcontext, engine), pool,
+        clients=clients, requests_per_client=requests_per_client,
+        timeout_s=timeout_s, processes=False)
+    return _summarize(latencies, duration_s, clients=clients,
+                      requests_per_client=requests_per_client,
+                      stats=engine.stats(), gauges="serve/loadgen")
 
 
 def run_router_loadgen(address, windows, *, clients: int = 4,
@@ -279,96 +293,29 @@ def run_router_loadgen(address, windows, *, clients: int = 4,
     """Closed-loop load against a :class:`~repro.serve.router.ForecastRouter`
     socket at ``address``.
 
-    Same harness shape as :func:`run_loadgen`, but the clients talk the
-    wire protocol — each owns one TCP connection, so the router's
-    accept/framing/dispatch path is on the measured critical path.
-    With ``processes=True`` every client is a separate OS process
-    (GIL-free send/receive loops); otherwise clients are threads in
-    this process. The report's ``engine`` field carries the router's
-    post-run :meth:`~repro.serve.router.ForecastRouter.stats` snapshot
-    (per-shard queue depths and engine stats).
+    Same client as :func:`run_loadgen`, but each client owns one TCP
+    connection, so the router's accept/framing/dispatch path is on the
+    measured critical path. With ``processes=True`` every client is a
+    separate OS process (GIL-free send/receive loops); otherwise clients
+    are threads in this process. A client that cannot connect counts
+    each of its requests as an error. The report's ``engine`` field
+    carries the router's post-run
+    :meth:`~repro.serve.router.ForecastRouter.stats` snapshot (per-shard
+    queue depths and engine stats), or ``{}`` if the router cannot be
+    reached.
     """
-    from repro.serve.router import RouterClient
-    if clients < 1:
-        raise ValueError(f"clients must be >= 1, got {clients}")
-    if requests_per_client < 1:
-        raise ValueError(f"requests_per_client must be >= 1, "
-                         f"got {requests_per_client}")
-    pool = np.ascontiguousarray(windows, dtype=np.float64)
-    if pool.ndim != 3 or pool.shape[0] == 0:
-        raise ValueError(f"windows must be a non-empty "
-                         f"(n, window, n_modes) array, got {pool.shape}")
-
-    latencies_ms: list[list[float]] = [[] for _ in range(clients)]
-    errors = [0] * clients
-
-    if processes:
-        import multiprocessing as mp
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        barrier = ctx.Barrier(clients + 1)
-        results_queue = ctx.Queue()
-        procs = [ctx.Process(target=_router_client_main,
-                             args=(tuple(address), pool.tobytes(),
-                                   pool.shape, i, requests_per_client,
-                                   timeout_s, barrier, results_queue),
-                             daemon=True,
-                             name=f"repro-router-loadgen-{i}")
-                 for i in range(clients)]
-        for proc in procs:
-            proc.start()
-        try:
-            barrier.wait(timeout=60.0)
-        except threading.BrokenBarrierError:
-            pass  # a client aborted; its queue entry reports the errors
-        t_start = time.perf_counter()
-        for _ in range(clients):
-            index, lats, errs = results_queue.get(timeout=600.0)
-            latencies_ms[index] = lats
-            errors[index] = errs
-        duration_s = time.perf_counter() - t_start
-        for proc in procs:
-            proc.join(timeout=10.0)
-    else:
-        barrier = threading.Barrier(clients + 1)
-
-        def client_loop(index: int) -> None:
-            with RouterClient(address,
-                              timeout_s=timeout_s or 30.0) as client:
-                barrier.wait()
-                for i in range(requests_per_client):
-                    window = pool[(index * requests_per_client + i)
-                                  % pool.shape[0]]
-                    t0 = time.perf_counter()
-                    try:
-                        client.forecast(window, timeout=timeout_s)
-                    except Exception:
-                        errors[index] += 1
-                        continue
-                    latencies_ms[index].append(
-                        (time.perf_counter() - t0) * 1e3)
-
-        threads = [threading.Thread(target=client_loop, args=(i,),
-                                    name=f"repro-router-loadgen-{i}")
-                   for i in range(clients)]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        t_start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        duration_s = time.perf_counter() - t_start
-
+    pool = _check_load(windows, clients, requests_per_client)
+    connect = functools.partial(RouterClient, tuple(address),
+                                timeout_s=timeout_s or 30.0)
+    latencies, duration_s = _run_clients(
+        connect, pool, clients=clients,
+        requests_per_client=requests_per_client, timeout_s=timeout_s,
+        processes=processes)
     try:
-        with RouterClient(address, timeout_s=timeout_s or 30.0) as probe:
+        with connect() as probe:
             stats = probe.stats()
     except Exception:
         stats = {}
-    report = _summarize(latencies_ms, errors, clients=clients,
-                        requests_per_client=requests_per_client,
-                        duration_s=duration_s, stats=stats)
-    obs.gauge_set("serve/router_loadgen/throughput_rps",
-                  report.throughput_rps)
-    obs.gauge_set("serve/router_loadgen/p95_ms",
-                  report.latency_ms["p95"])
-    return report
+    return _summarize(latencies, duration_s, clients=clients,
+                      requests_per_client=requests_per_client,
+                      stats=stats, gauges="serve/router_loadgen")

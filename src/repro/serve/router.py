@@ -29,6 +29,12 @@ shared :class:`~repro.serve.registry.ModelRegistry`:
   request with the typed :class:`~repro.serve.protocol.RouterShutdown`;
   a client socket is always answered, never deadlocked.
 
+The router's own settings are ``n_workers`` and ``max_retries``. One
+:class:`~repro.serve.engine.EngineConfig` (``worker_config``) configures
+every worker's engine, passed unchanged. The worker round-trip bound
+(:data:`REQUEST_TIMEOUT_S`, 30 s) and the promote bound
+(:data:`PROMOTE_TIMEOUT_S`, 60 s) are fixed.
+
 ``RouterClient`` is the matching client: ``forecast(window)`` returns a
 :class:`RoutedForecast` whose ``output`` is **bitwise identical** to a
 serial one-at-a-time forecast of the tagged bundle
@@ -50,7 +56,7 @@ import numpy as np
 
 from repro import obs
 from repro.serve.cache import window_digest
-from repro.serve.engine import ForecastTimeout
+from repro.serve.engine import EngineConfig, ForecastTimeout
 from repro.serve.hashring import ConsistentHashRing
 from repro.serve.protocol import (ERR_INTERNAL, ProtocolError,
                                   RouterShutdown, WorkerUnavailable,
@@ -58,55 +64,15 @@ from repro.serve.protocol import (ERR_INTERNAL, ProtocolError,
                                   read_frame)
 from repro.serve.registry import ModelRegistry
 from repro.serve.supervisor import WorkerHandle, WorkerSupervisor
-from repro.serve.worker import WorkerConfig
 
-__all__ = ["RouterConfig", "ForecastRouter", "RouterClient",
-           "RoutedForecast"]
+__all__ = ["ForecastRouter", "RouterClient", "RoutedForecast"]
 
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Tuning knobs of a :class:`ForecastRouter`.
-
-    Parameters
-    ----------
-    n_workers:
-        Engine worker processes (= cache shards).
-    max_retries:
-        How many times one request is re-dispatched after its shard
-        worker *died* (each time onto a freshly respawned process).
-        Backpressure and timeouts are never retried.
-    request_timeout_s:
-        Router-side bound on one worker round-trip — the backstop that
-        turns a wedged worker into a typed timeout at the edge.
-    promote_timeout_s:
-        Bound on one worker's drain+reload during a promote.
-    hash_replicas:
-        Virtual points per shard on the consistent-hash ring.
-    """
-
-    n_workers: int = 2
-    max_retries: int = 2
-    request_timeout_s: float = 30.0
-    promote_timeout_s: float = 60.0
-    hash_replicas: int = 64
-
-    def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, "
-                             f"got {self.n_workers}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, "
-                             f"got {self.max_retries}")
-        if self.request_timeout_s <= 0:
-            raise ValueError(f"request_timeout_s must be positive, "
-                             f"got {self.request_timeout_s}")
-        if self.promote_timeout_s <= 0:
-            raise ValueError(f"promote_timeout_s must be positive, "
-                             f"got {self.promote_timeout_s}")
-        if self.hash_replicas < 1:
-            raise ValueError(f"hash_replicas must be >= 1, "
-                             f"got {self.hash_replicas}")
+#: Router-side bound on one worker round-trip, in seconds: the backstop
+#: that turns a wedged worker into a typed timeout at the edge.
+REQUEST_TIMEOUT_S = 30.0
+#: Bound on one worker's drain+reload during a promote, in seconds.
+PROMOTE_TIMEOUT_S = 60.0
 
 
 class _WorkerDied(RuntimeError):
@@ -224,10 +190,13 @@ class _ShardConnection:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        # The reader holds the socket's descriptor open until it is
+        # closed too.
+        for resource in (self._reader, self._sock):
+            try:
+                resource.close()
+            except OSError:
+                pass
 
 
 class ForecastRouter:
@@ -238,12 +207,18 @@ class ForecastRouter:
     registry_root:
         Directory of the shared model registry; must have an ACTIVE
         version by :meth:`start` time.
-    config / overrides:
-        Router tuning (individual :class:`RouterConfig` fields may be
-        passed as keyword arguments instead, mirroring
-        :class:`~repro.serve.engine.ForecastEngine`).
+    n_workers:
+        Engine worker processes (= cache shards).
+    max_retries:
+        How many times one request is re-dispatched after its shard
+        worker *died* (each time onto a freshly respawned process).
+        Backpressure and timeouts are never retried.
     worker_config:
-        Engine tuning shipped to every worker process.
+        Engine tuning, passed unchanged to every worker process
+        (default: ``EngineConfig()``).
+
+    One worker round-trip is bounded by :data:`REQUEST_TIMEOUT_S`, one
+    worker's drain+reload during a promote by :data:`PROMOTE_TIMEOUT_S`.
 
     Usage::
 
@@ -252,24 +227,23 @@ class ForecastRouter:
                 routed = client.forecast(window)
     """
 
-    def __init__(self, registry_root, *,
-                 config: RouterConfig | None = None,
-                 worker_config: WorkerConfig | None = None,
-                 **overrides) -> None:
-        if config is None:
-            config = RouterConfig(**overrides)
-        elif overrides:
-            raise TypeError("pass either config= or field overrides, "
-                            "not both")
-        self.config = config
+    def __init__(self, registry_root, *, n_workers: int = 2,
+                 max_retries: int = 2,
+                 worker_config: EngineConfig | None = None) -> None:
+        if n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, "
+                             f"got {max_retries}")
+        self.n_workers = int(n_workers)
+        self.max_retries = int(max_retries)
         self.registry = ModelRegistry(registry_root)
-        self.worker_config = worker_config or WorkerConfig()
-        self._ring = ConsistentHashRing(config.n_workers,
-                                        replicas=config.hash_replicas)
+        self.worker_config = worker_config or EngineConfig()
+        self._ring = ConsistentHashRing(self.n_workers)
         self._supervisor: WorkerSupervisor | None = None
         self._shards: dict[int, _ShardConnection] = {}
         self._shard_locks = {i: threading.Lock()
-                             for i in range(config.n_workers)}
+                             for i in range(self.n_workers)}
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._client_threads: set[threading.Thread] = set()
@@ -307,10 +281,10 @@ class ForecastRouter:
                 f"registry {self.registry.root} has no active version "
                 f"(publish and promote one first)")
         self._version = active
-        self._supervisor = WorkerSupervisor(
-            self.registry.root, worker_config=self.worker_config)
+        self._supervisor = WorkerSupervisor(self.registry.root,
+                                            self.worker_config)
         try:
-            for shard_id in range(self.config.n_workers):
+            for shard_id in range(self.n_workers):
                 handle = self._supervisor.spawn(shard_id,
                                                 self._generation)
                 self._shards[shard_id] = _ShardConnection(handle)
@@ -327,7 +301,7 @@ class ForecastRouter:
             target=self._accept_loop, daemon=True,
             name="repro-router-accept")
         self._accept_thread.start()
-        obs.gauge_set("router/workers", self.config.n_workers)
+        obs.gauge_set("router/workers", self.n_workers)
         return self
 
     def __enter__(self) -> "ForecastRouter":
@@ -421,6 +395,7 @@ class ForecastRouter:
             if current is not dead or not current.dead:
                 return  # another handler already revived it
             self._supervisor.terminate(dead.handle)
+            dead.close()
             generation, _ = self._serving_state()
             handle = self._supervisor.spawn(shard_id, generation)
             self._shards[shard_id] = _ShardConnection(handle)
@@ -441,7 +416,7 @@ class ForecastRouter:
             try:
                 header, body = shard.request(
                     {"type": "forecast"}, window,
-                    timeout=self.config.request_timeout_s)
+                    timeout=REQUEST_TIMEOUT_S)
             except _WorkerDied:
                 deaths += 1
                 if self._closing.is_set():
@@ -449,12 +424,12 @@ class ForecastRouter:
                     raise RouterShutdown(
                         "router shut down before the request was "
                         "served") from None
-                if deaths > self.config.max_retries:
+                if deaths > self.max_retries:
                     self._count("errors")
                     raise WorkerUnavailable(
                         f"shard {shard_id} worker died {deaths} times "
                         f"serving one request; retries exhausted "
-                        f"(max_retries={self.config.max_retries})"
+                        f"(max_retries={self.max_retries})"
                         ) from None
                 self._revive(shard_id, shard)
                 self._count("retries")
@@ -501,7 +476,7 @@ class ForecastRouter:
             try:
                 header, _ = shard.request(
                     {"type": "reload", "generation": new_generation},
-                    timeout=self.config.promote_timeout_s)
+                    timeout=PROMOTE_TIMEOUT_S)
             except _WorkerDied:
                 # Crash during promote: the respawn loads the new ACTIVE
                 # at the new generation — reload accomplished either way.
@@ -510,7 +485,7 @@ class ForecastRouter:
             except ForecastTimeout:
                 raise RuntimeError(
                     f"shard {shard_id} did not drain+reload within "
-                    f"{self.config.promote_timeout_s:g}s during promote")
+                    f"{PROMOTE_TIMEOUT_S:g}s during promote")
             if header.get("type") != "reloaded":
                 raise RuntimeError(
                     f"shard {shard_id} answered reload with "
@@ -626,12 +601,12 @@ class ForecastRouter:
                 entry["alive"] = False
             shards.append(entry)
         return {"generation": generation, "version": version,
-                "n_workers": self.config.n_workers, **counts,
+                "n_workers": self.n_workers, **counts,
                 "shards": shards}
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
-        return (f"ForecastRouter(n_workers={self.config.n_workers}, "
+        return (f"ForecastRouter(n_workers={self.n_workers}, "
                 f"version={self._version!r}, "
                 f"generation={self._generation}, {state})")
 

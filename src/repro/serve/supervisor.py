@@ -11,19 +11,20 @@ after a crash identical to first spawn:
 
 1. the supervisor listens on an ephemeral loopback port;
 2. each worker process is started with plain picklable arguments
-   (worker id, registry root, the port, config dict, generation);
+   (worker id, registry root, the port, the router's
+   :class:`~repro.serve.engine.EngineConfig`, generation);
 3. the worker connects back and sends ``{"type": "hello", "worker_id":
    ...}``; the supervisor matches the id and hands the socket over.
 
 Spawns are serialized under a lock so a handshake can never be matched
 to the wrong concurrently-connecting worker. A worker that does not
-complete its handshake within ``spawn_timeout_s`` (crashed on import,
-failed to load the bundle) is terminated and reported as a
+complete its handshake within :data:`SPAWN_TIMEOUT_S` (crashed on
+import, failed to load the bundle) is terminated and reported as a
 :class:`RuntimeError` instead of hanging the router.
 
-Like :class:`repro.hpc.parallel.ParallelEvaluator`, the ``fork`` start
-method is preferred where available (workers inherit the parent's
-imports and start in milliseconds), falling back to ``spawn``.
+Like :class:`repro.hpc.parallel.ParallelEvaluator`, workers start with
+``fork`` where available (they inherit the parent's imports and start
+in milliseconds), else with ``spawn``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,14 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.serve.engine import EngineConfig
 from repro.serve.protocol import ProtocolError, read_frame
-from repro.serve.worker import WorkerConfig, worker_main
+from repro.serve.worker import worker_main
 
 __all__ = ["WorkerHandle", "WorkerSupervisor"]
+
+#: Handshake deadline of one spawned worker, in seconds.
+SPAWN_TIMEOUT_S = 20.0
 
 
 @dataclass
@@ -68,28 +73,14 @@ class WorkerSupervisor:
         The shared :class:`~repro.serve.registry.ModelRegistry`
         directory every worker loads bundles from.
     worker_config:
-        Engine tuning shipped to each worker.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available, else ``spawn``.
-    spawn_timeout_s:
-        Handshake deadline per spawned worker.
+        Engine tuning, passed unchanged to each worker.
     """
 
-    def __init__(self, registry_root, *,
-                 worker_config: WorkerConfig | None = None,
-                 start_method: str | None = None,
-                 spawn_timeout_s: float = 20.0) -> None:
-        if spawn_timeout_s <= 0:
-            raise ValueError(f"spawn_timeout_s must be positive, "
-                             f"got {spawn_timeout_s}")
+    def __init__(self, registry_root, worker_config: EngineConfig) -> None:
         self.registry_root = str(registry_root)
-        self.worker_config = worker_config or WorkerConfig()
-        self.spawn_timeout_s = float(spawn_timeout_s)
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = mp.get_context(start_method)
+        self.worker_config = worker_config
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._lock = threading.Lock()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
@@ -112,7 +103,7 @@ class WorkerSupervisor:
             process = self._ctx.Process(
                 target=worker_main,
                 args=(worker_id, self.registry_root, self._port,
-                      self.worker_config.as_dict(), generation, version),
+                      self.worker_config, generation, version),
                 daemon=True, name=f"repro-serve-worker-{worker_id}")
             process.start()
             try:
@@ -127,7 +118,7 @@ class WorkerSupervisor:
 
     def _handshake(self, worker_id: int, process
                    ) -> tuple[socket.socket, dict]:
-        deadline = time.monotonic() + self.spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not process.is_alive() \
@@ -145,7 +136,7 @@ class WorkerSupervisor:
             except socket.timeout:
                 continue
             try:
-                sock.settimeout(self.spawn_timeout_s)
+                sock.settimeout(SPAWN_TIMEOUT_S)
                 message = read_frame(sock.makefile("rb"))
                 if message is None:
                     raise ProtocolError("worker closed before hello")

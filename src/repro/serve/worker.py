@@ -3,10 +3,13 @@
 One worker = one OS process wrapping one micro-batching
 :class:`~repro.serve.engine.ForecastEngine` over the bundle it loaded
 from the shared :class:`~repro.serve.registry.ModelRegistry` (the ACTIVE
-version unless told otherwise). The process connects *back* to the
-router's worker listener — spawn-method agnostic, and respawn after a
-crash is just another connect — identifies itself with a ``hello``
-frame, then serves the message protocol of :mod:`repro.serve.protocol`:
+version unless told otherwise). The engine runs at the router's
+:class:`~repro.serve.engine.EngineConfig`, passed unchanged through the
+supervisor; its ``default_timeout_s`` bounds each request's wait inside
+the worker. The process connects *back* to the router's worker
+listener — spawn-method agnostic, and respawn after a crash is just
+another connect — identifies itself with a ``hello`` frame, then serves
+the message protocol of :mod:`repro.serve.protocol`:
 
 ``forecast``
     Submit the request window to the engine; answer with the forecast
@@ -44,65 +47,25 @@ import os
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 
 from repro.serve.engine import EngineConfig, EngineOverloaded, \
     EngineStopped, ForecastEngine, ForecastTimeout
 from repro.serve.protocol import code_for, encode_frame, read_frame
 from repro.serve.registry import ModelRegistry
 
-__all__ = ["WorkerConfig", "worker_main"]
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Engine tuning shipped to every worker process (plain picklable
-    fields; see :class:`~repro.serve.engine.EngineConfig` for semantics).
-
-    ``request_timeout_s`` bounds one forecast's wait inside the worker —
-    it becomes the engine's ``default_timeout_s``, and its expiry
-    surfaces at the client as a typed ``timeout`` error rather than a
-    socket stall. ``pace_s`` is the benchmark service-time floor
-    (see ``EngineConfig.pace_s``).
-    """
-
-    max_batch: int = 8
-    max_queue: int = 64
-    cache_entries: int = 256
-    request_timeout_s: float = 10.0
-    pace_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        # EngineConfig re-validates; checking here fails fast in the
-        # parent instead of a silent child exit.
-        self.engine_config()
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(max_batch=self.max_batch,
-                            max_queue=self.max_queue,
-                            default_timeout_s=self.request_timeout_s,
-                            cache_entries=self.cache_entries,
-                            pace_s=self.pace_s)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+__all__ = ["worker_main"]
 
 
 def worker_main(worker_id: int, registry_root: str, port: int,
-                config: dict | WorkerConfig | None = None,
-                generation: int = 1,
+                config: EngineConfig, generation: int = 1,
                 version: str | None = None) -> None:
     """Blocking entry point of one engine worker process.
 
-    ``config`` may be a :class:`WorkerConfig` or its ``as_dict()`` form
-    (what crosses the spawn boundary). ``version=None`` loads the
-    registry's ACTIVE version. Exits when the router closes the
-    connection, on a ``shutdown`` message, or if the socket breaks.
+    ``config`` is the router's :class:`~repro.serve.engine.EngineConfig`,
+    unchanged. ``version=None`` loads the registry's ACTIVE version.
+    Exits when the router closes the connection, on a ``shutdown``
+    message, or if the socket breaks.
     """
-    if isinstance(config, dict):
-        config = WorkerConfig(**config)
-    elif config is None:
-        config = WorkerConfig()
     _EngineWorker(worker_id, registry_root, port, config, generation,
                   version).run()
 
@@ -111,7 +74,7 @@ class _EngineWorker:
     """The in-process implementation behind :func:`worker_main`."""
 
     def __init__(self, worker_id: int, registry_root: str, port: int,
-                 config: WorkerConfig, generation: int,
+                 config: EngineConfig, generation: int,
                  version: str | None) -> None:
         self.worker_id = int(worker_id)
         self.registry = ModelRegistry(registry_root)
@@ -130,8 +93,7 @@ class _EngineWorker:
     def _load_engine(self, version: str | None) -> None:
         name, emulator = self.registry.load(version)
         self._engine = ForecastEngine(emulator, version=name,
-                                      config=self.config.engine_config()
-                                      ).start()
+                                      config=self.config).start()
         self._version = name
 
     # -- transport -------------------------------------------------------
@@ -157,10 +119,11 @@ class _EngineWorker:
 
         Runs on the waiter pool; admission (and its EngineOverloaded
         shed) already happened synchronously in the reader loop, so the
-        pool only ever holds requests the engine accepted."""
+        pool only ever holds requests the engine accepted. The wait is
+        bounded by the engine's ``default_timeout_s``."""
         try:
             try:
-                output = pending.result(self.config.request_timeout_s)
+                output = pending.result()
             except (ForecastTimeout, EngineStopped,
                     ValueError, RuntimeError) as error:
                 self._send_error(request_id, error)

@@ -4,7 +4,8 @@ Every failure mode a distributed serving tier owes its clients an
 answer for:
 
 * a worker SIGKILLed mid-request is respawned and the request retried —
-  bounded, counted, and bitwise-correct, never silently dropped;
+  bounded, counted, and bitwise-correct, never silently dropped — and
+  the dead worker's connection is closed, not left to the collector;
 * a full shard queue surfaces at the client as the typed
   :class:`EngineOverloaded`, not a stall;
 * a worker crash during a promote cannot tear the fleet: the registry's
@@ -29,10 +30,9 @@ import numpy as np
 import pytest
 
 from repro.serve import ModelRegistry
-from repro.serve.engine import EngineOverloaded
+from repro.serve.engine import EngineConfig, EngineOverloaded
 from repro.serve.protocol import RouterShutdown, WorkerUnavailable
 from repro.serve.router import ForecastRouter, RouterClient
-from repro.serve.worker import WorkerConfig
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_kill_mid_request_respawns_and_retries(registry_root, windows,
     """SIGKILL the serving worker while a paced request is in flight:
     the router respawns it, retries, and the client still receives the
     bitwise-correct forecast — plus visible respawn/retry counters."""
-    config = WorkerConfig(max_batch=1, cache_entries=0, pace_s=0.5)
+    config = EngineConfig(max_batch=1, cache_entries=0, pace_s=0.5)
     with ForecastRouter(registry_root, n_workers=2,
                         worker_config=config) as router:
         target = router.shard_for(windows[0])
@@ -85,11 +85,25 @@ def test_kill_mid_request_respawns_and_retries(registry_root, windows,
         assert router.worker_pids()[target] != victim_pid
 
 
+def test_respawn_closes_the_dead_connection(registry_root, windows):
+    """Replacing a dead worker closes its connection's reader and
+    socket, so the descriptor does not stay open until garbage
+    collection."""
+    with ForecastRouter(registry_root, n_workers=1) as router:
+        dead = router._shards[0]
+        os.kill(router.worker_pids()[0], signal.SIGKILL)
+        with RouterClient(router.address, timeout_s=30.0) as client:
+            client.forecast(windows[0])  # retried on the respawned worker
+        assert router._shards[0] is not dead
+        assert dead._reader.closed
+        assert dead._sock.fileno() == -1
+
+
 def test_overload_reaches_client_as_typed_error(registry_root, windows):
     """One paced worker with a one-slot queue under six concurrent
     clients must shed: the shed requests surface as the *typed*
     EngineOverloaded at the socket client, and nothing hangs."""
-    config = WorkerConfig(max_batch=1, max_queue=1, cache_entries=0,
+    config = EngineConfig(max_batch=1, max_queue=1, cache_entries=0,
                           pace_s=0.3)
     with ForecastRouter(registry_root, n_workers=1,
                         worker_config=config) as router:
@@ -164,7 +178,7 @@ def test_shutdown_fails_inflight_with_typed_error(registry_root,
     the typed RouterShutdown (never a silent drop, never a deadlocked
     socket) — the distributed analogue of the engine's EngineStopped
     contract."""
-    config = WorkerConfig(max_batch=1, cache_entries=0, pace_s=1.0)
+    config = EngineConfig(max_batch=1, cache_entries=0, pace_s=1.0)
     router = ForecastRouter(registry_root, n_workers=1,
                             worker_config=config).start()
     outcome: dict = {}
@@ -213,7 +227,7 @@ def test_close_returns_promptly(registry_root, client):
 def test_retries_are_bounded(registry_root, windows):
     """With max_retries=0 a dying shard surfaces as WorkerUnavailable
     after the first death instead of retrying forever."""
-    config = WorkerConfig(max_batch=1, cache_entries=0, pace_s=0.5)
+    config = EngineConfig(max_batch=1, cache_entries=0, pace_s=0.5)
     with ForecastRouter(registry_root, n_workers=1, max_retries=0,
                         worker_config=config) as router:
         victim_pid = router.worker_pids()[0]

@@ -163,7 +163,7 @@ class TestRequestValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("max_batch", 0), ("max_queue", 0), ("default_timeout_s", 0.0),
-        ("cache_entries", -1), ("poll_interval_s", 0.0)])
+        ("cache_entries", -1)])
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             EngineConfig(**{field: value})

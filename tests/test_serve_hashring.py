@@ -29,8 +29,6 @@ KEYS = [f"key-{i:05d}" for i in range(4000)]
 def test_validation():
     with pytest.raises(ValueError, match="n_shards"):
         ConsistentHashRing(0)
-    with pytest.raises(ValueError, match="replicas"):
-        ConsistentHashRing(2, replicas=0)
 
 
 def test_assignment_in_range_and_every_shard_used():

@@ -1,13 +1,16 @@
 """Closed-loop load generator and SLO report (repro.serve.loadgen)."""
 
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
 
 from repro.serve import (SLO_REPORT_FORMAT, SLO_REPORT_VERSION,
-                         ForecastEngine, nearest_rank_percentile,
-                         run_loadgen, validate_slo_report)
+                         ForecastEngine, ForecastRouter, ModelRegistry,
+                         SLOReport, nearest_rank_percentile, run_loadgen,
+                         run_router_loadgen, validate_slo_report)
 
 
 @pytest.fixture()
@@ -72,6 +75,17 @@ class TestRunLoadgen:
         assert "p95" in text
         assert "cache" in text
 
+    def test_run_that_served_nothing_reports_every_error(
+            self, tiny_emulator, windows):
+        """Every request times out: the report says so and validates."""
+        with ForecastEngine(tiny_emulator, cache_entries=0,
+                            pace_s=0.5) as engine:
+            report = run_loadgen(engine, windows, clients=1,
+                                 requests_per_client=2, timeout_s=1e-3)
+        assert report.n_requests == report.n_errors == 2
+        assert report.throughput_rps == 0.0
+        validate_slo_report(report.as_json())
+
     def test_engine_must_be_running(self, tiny_emulator, windows):
         engine = ForecastEngine(tiny_emulator)
         with pytest.raises(RuntimeError, match="not running"):
@@ -135,11 +149,95 @@ class TestValidateSLOReport:
         with pytest.raises(ValueError, match="dict"):
             validate_slo_report([1, 2, 3])
 
+    def test_run_that_served_nothing_passes(self):
+        data = self._valid()
+        data.update(n_errors=data["n_requests"], throughput_rps=0.0,
+                    latency_ms=dict.fromkeys(
+                        ("mean", "p50", "p95", "p99", "max"), 0.0))
+        validate_slo_report(data)
+
+    def test_zero_throughput_with_served_requests(self):
+        data = self._valid()
+        data["throughput_rps"] = 0.0
+        with pytest.raises(ValueError, match="throughput_rps"):
+            validate_slo_report(data)
+
+
+def test_router_table_sums_the_shards():
+    """A router report's engine numbers are the sums over its shards (a
+    dead shard carries none)."""
+    def shard(n_batches, mean_batch_size, hits, misses):
+        return {"engine": {"n_batches": n_batches,
+                           "mean_batch_size": mean_batch_size,
+                           "cache": {"hits": hits, "misses": misses}}}
+
+    report = SLOReport(clients=1, n_requests=10, n_errors=0,
+                       duration_s=1.0, throughput_rps=10.0,
+                       latency_ms={}, engine={
+                           "n_workers": 3,
+                           "shards": [shard(2, 1.5, 1, 3),
+                                      shard(2, 2.5, 2, 4),
+                                      {"alive": False}]})
+    text = report.table()
+    assert "mean batch size        2.00" in text
+    assert "cache hits/miss  3/7" in text
+
+
+def _closed_port() -> tuple[str, int]:
+    """A loopback address nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()
+
+
+@pytest.fixture(scope="module")
+def router(tiny_emulator, tmp_path_factory):
+    root = tmp_path_factory.mktemp("loadgen-registry")
+    ModelRegistry(root).publish("v1", tiny_emulator, activate=True)
+    with ForecastRouter(root, n_workers=2) as router:
+        yield router
+
+
+@pytest.mark.parametrize("processes", [False, True],
+                         ids=["threads", "processes"])
+class TestRouterLoadgen:
+    def test_two_worker_router(self, router, windows, processes):
+        report = run_router_loadgen(router.address, windows, clients=3,
+                                    requests_per_client=4,
+                                    processes=processes)
+        assert report.n_errors == 0
+        assert report.n_requests == 3 * 4
+        validate_slo_report(report.as_json())
+        assert report.engine["n_workers"] == 2
+        assert {s["generation"] for s in report.engine["shards"]} == {1}
+
+    def test_unreachable_router_counts_every_request_failed(
+            self, windows, processes):
+        """Clients that cannot connect still start the run; the call
+        returns a report instead of hanging or raising."""
+        outcome: dict = {}
+
+        def run() -> None:
+            try:
+                outcome["report"] = run_router_loadgen(
+                    _closed_port(), windows, clients=2,
+                    requests_per_client=2, processes=processes)
+            except Exception as error:  # noqa: BLE001 - reported below
+                outcome["report"] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "load generator hung"
+        report = outcome["report"]
+        assert isinstance(report, SLOReport), report
+        assert report.n_requests == report.n_errors == 4
+        assert report.throughput_rps == 0.0
+        assert report.engine == {}
+
 
 class TestRouterLoadgenValidation:
-    """Input validation of run_router_loadgen (the socket harness itself
-    is exercised end-to-end by tests/test_cli.py and the CI router-smoke
-    job)."""
+    """Input validation of run_router_loadgen."""
 
     def test_rejects_bad_client_counts(self):
         from repro.serve import run_router_loadgen
