@@ -1,11 +1,12 @@
 """Microbenchmark harness core: timing, aggregation, BENCH_core.json.
 
-A :class:`Benchmark` is a named factory: ``make()`` performs all setup
-(allocations, network construction, data synthesis) and returns the
-zero-argument thunk that is actually timed, so setup cost never leaks
-into the measurement. :func:`run_suite` times every benchmark
-``reps`` times after one untimed warmup call, then writes the perf
-trajectory file::
+A :class:`Benchmark` is a named context-manager factory: entering
+``make()`` performs all setup (allocations, network construction, data
+synthesis) and yields the zero-argument thunk that is actually timed, so
+setup cost never leaks into the measurement; leaving it tears down what
+setup started (process pools, routers, engine threads, temp
+directories). :func:`run_suite` times every benchmark ``reps`` times
+after one untimed warmup call, then writes the perf trajectory file::
 
     {"<name>": {"mean_s": float, "std_s": float, "reps": int,
                 "metadata": {...}}, ...}
@@ -21,7 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ContextManager
 
 __all__ = ["Benchmark", "BenchResult", "run_benchmark", "run_suite",
            "validate_bench_data"]
@@ -31,12 +32,15 @@ __all__ = ["Benchmark", "BenchResult", "run_benchmark", "run_suite",
 class Benchmark:
     """One named microbenchmark.
 
-    ``make`` runs untimed setup and returns the thunk to time; ``metadata``
-    records the workload shape (sizes, reps semantics) into the JSON.
+    ``make()`` returns a context manager: entering it runs untimed setup
+    and yields the thunk to time, leaving it releases everything setup
+    started (typically a :func:`contextlib.contextmanager` generator).
+    ``metadata`` records the workload shape (sizes, reps semantics) into
+    the JSON.
     """
 
     name: str
-    make: Callable[[], Callable[[], object]]
+    make: Callable[[], ContextManager[Callable[[], object]]]
     metadata: dict = field(default_factory=dict)
 
 
@@ -57,7 +61,7 @@ class BenchResult:
 
 def run_benchmark(bench: Benchmark, *, reps: int = 5, warmup_s: float = 0.0,
                   clock=time.perf_counter) -> BenchResult:
-    """Time one benchmark: setup once, warmup, ``reps`` timed.
+    """Time one benchmark: setup once, warmup, ``reps`` timed, teardown.
 
     The warmup is always at least one call (first-call allocations and
     caches don't count); ``warmup_s > 0`` keeps calling until that much
@@ -71,16 +75,16 @@ def run_benchmark(bench: Benchmark, *, reps: int = 5, warmup_s: float = 0.0,
         raise ValueError(f"reps must be >= 1, got {reps}")
     if warmup_s < 0:
         raise ValueError(f"warmup_s must be >= 0, got {warmup_s}")
-    fn = bench.make()
-    t_warm = clock()
-    fn()
-    while clock() - t_warm < warmup_s:
-        fn()
     times = []
-    for _ in range(reps):
-        t0 = clock()
+    with bench.make() as fn:
+        t_warm = clock()
         fn()
-        times.append(clock() - t0)
+        while clock() - t_warm < warmup_s:
+            fn()
+        for _ in range(reps):
+            t0 = clock()
+            fn()
+            times.append(clock() - t0)
     mean = sum(times) / reps
     var = sum((t - mean) ** 2 for t in times) / (reps - 1) if reps > 1 else 0.0
     return BenchResult(name=bench.name, mean_s=mean, std_s=math.sqrt(var),

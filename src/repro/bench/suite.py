@@ -8,6 +8,8 @@ Covers the four cost centres of the reproduction (ISSUE: the paths every
 * one full :class:`~repro.nn.training.Trainer` epoch (batching, loss,
   clipping, Adam);
 * POD basis computation (method of snapshots) at archive-like shape;
+* synthesis of the 427-week SST training matrix on a fresh generator
+  (the data layer under every paper-path workload);
 * a 10-evaluation random-search slice over the surrogate (ask /
   evaluate / tell machinery, the NAS outer loop);
 * a 200-evaluation RS campaign from a tabular benchmark archive
@@ -20,11 +22,17 @@ Covers the four cost centres of the reproduction (ISSUE: the paths every
   and closed-loop load-generator throughput at 4 clients.
 
 Every benchmark is seeded and self-contained: ``make()`` builds all data
-so only steady-state compute is timed. The ``quick`` suite is sized to
-finish on one CPU core in well under two minutes.
+so only steady-state compute is timed, and tears down what it started —
+pools, routers, engines and temp directories — when the timing is done.
+The ``quick`` suite is sized to finish on one CPU core in well under two
+minutes.
 """
 
 from __future__ import annotations
+
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -53,6 +61,7 @@ _FULL_CELL_POINTS = _QUICK_CELL_POINTS + (
 
 def _cell_benchmark(kind: str, batch: int, steps: int,
                     units: int) -> Benchmark:
+    @contextmanager
     def make():
         from repro.nn.layers import GRULayer, LSTMLayer, SimpleRNNLayer
         layer_cls = {"lstm": LSTMLayer, "gru": GRULayer,
@@ -67,7 +76,7 @@ def _cell_benchmark(kind: str, batch: int, steps: int,
             layer.forward([x], training=True)
             layer.zero_grads()
             layer.backward(grad)
-        return run
+        yield run
 
     return Benchmark(
         name=f"{kind}_fwd_bwd_b{batch}_t{steps}_h{units}",
@@ -81,6 +90,7 @@ def _trainer_epoch_benchmark(quick: bool) -> Benchmark:
     n, steps, features, units = (256, 8, 5, 16) if quick \
         else (1024, 8, 5, 64)
 
+    @contextmanager
     def make():
         from repro.nn import LSTMLayer, Network, Trainer
         rng = np.random.default_rng(0)
@@ -96,7 +106,7 @@ def _trainer_epoch_benchmark(quick: bool) -> Benchmark:
             # Each rep continues training the same network: per-epoch cost
             # is weight-independent, so steady-state timing is unaffected.
             trainer.fit(net, x, y, rng=0)
-        return run
+        yield run
 
     return Benchmark(
         name="trainer_epoch",
@@ -109,6 +119,7 @@ def _trainer_epoch_benchmark(quick: bool) -> Benchmark:
 def _pod_basis_benchmark(quick: bool) -> Benchmark:
     n_state, n_snapshots = (1500, 120) if quick else (6000, 400)
 
+    @contextmanager
     def make():
         from repro.pod import fit_pod
         rng = np.random.default_rng(0)
@@ -120,7 +131,7 @@ def _pod_basis_benchmark(quick: bool) -> Benchmark:
 
         def run():
             fit_pod(snapshots, n_modes=5, method="snapshots")
-        return run
+        yield run
 
     return Benchmark(
         name="pod_basis",
@@ -130,9 +141,38 @@ def _pod_basis_benchmark(quick: bool) -> Benchmark:
                   "measures": "POD method of snapshots (paper Eq. 3-5)"})
 
 
+def _sst_synthesis_benchmark(quick: bool) -> Benchmark:
+    """A fresh :class:`~repro.data.sst.SyntheticSST` and its 427-week
+    training matrix: grid patterns, the ENSO and weather oscillator
+    series, then every snapshot column — what each paper-path workload
+    pays for data before it trains. 4 degrees is the workloads' grid; the
+    quick suite uses 9, which keeps the entry under a second of the quick
+    suite at 3 reps."""
+    degrees, n_weeks = (9.0 if quick else 4.0), 427
+
+    @contextmanager
+    def make():
+        from repro.data.grid import LatLonGrid
+        from repro.data.sst import SyntheticSST
+        grid = LatLonGrid(degrees=degrees)
+
+        def run():
+            SyntheticSST(grid=grid, seed=0).snapshots(np.arange(n_weeks))
+        yield run
+
+    return Benchmark(
+        name="sst_synthesis",
+        make=make,
+        metadata={"degrees": degrees, "weeks": n_weeks, "seed": 0,
+                  "measures": "SyntheticSST construction (patterns, "
+                              "ENSO and weather series) plus the "
+                              "training snapshot matrix"})
+
+
 def _random_search_benchmark() -> Benchmark:
     n_evaluations = 10
 
+    @contextmanager
     def make():
         from repro.nas import RandomSearch, StackedLSTMSpace, \
             SurrogateEvaluator
@@ -148,7 +188,7 @@ def _random_search_benchmark() -> Benchmark:
                 arch = algorithm.ask()
                 result = evaluator.evaluate(arch, rng)
                 algorithm.tell(arch, result.reward)
-        return run
+        yield run
 
     return Benchmark(
         name=f"random_search_{n_evaluations}_evals",
@@ -164,10 +204,8 @@ def _checkpoint_roundtrip_benchmark() -> Benchmark:
     stay cheap relative to the evaluations it snapshots between."""
     n_warm = 200
 
+    @contextmanager
     def make():
-        import tempfile
-        from pathlib import Path
-
         from repro.nas import AgingEvolution, StackedLSTMSpace, \
             SurrogateEvaluator, load_search, save_search
         from repro.nas.space.ops import default_operations
@@ -179,13 +217,13 @@ def _checkpoint_roundtrip_benchmark() -> Benchmark:
         for _ in range(n_warm):
             arch = search.ask()
             search.tell(arch, evaluator.evaluate(arch, rng).reward)
-        tmpdir = tempfile.mkdtemp(prefix="repro_bench_ckpt_")
-        path = Path(tmpdir) / "search.json"
+        with tempfile.TemporaryDirectory(prefix="repro_bench_ckpt_") as tmp:
+            path = Path(tmp) / "search.json"
 
-        def run():
-            save_search(search, path)
-            load_search(path, space)
-        return run
+            def run():
+                save_search(search, path)
+                load_search(path, space)
+            yield run
 
     return Benchmark(
         name="checkpoint_roundtrip",
@@ -231,6 +269,7 @@ def _parallel_search_benchmark(workers: int | None,
     ``workers``-process pool (same tasks, bitwise-identical results)."""
     n_evaluations = 8 if quick else 16
 
+    @contextmanager
     def make():
         from repro.hpc.parallel import ParallelEvaluator, SerialEvaluator
         from repro.utils.rng import child_sequence, spawn_sequences
@@ -249,7 +288,8 @@ def _parallel_search_benchmark(workers: int | None,
                        for arch, seed in zip(archs, seeds)]
             for handle in handles:
                 backend.gather(handle)
-        return run
+        with backend:
+            yield run
 
     label = "serial" if workers is None else f"w{workers}"
     return Benchmark(
@@ -286,20 +326,21 @@ def _serve_latency_benchmark(max_batch: int) -> Benchmark:
     shows what micro-batching buys (cache off: compute, not lookups)."""
     n_requests = 64
 
+    @contextmanager
     def make():
         from repro.serve import ForecastEngine
         emulator = _serve_emulator()
         rng = np.random.default_rng(1)
         windows = rng.uniform(-1.0, 1.0, size=(n_requests, 8, 5))
-        engine = ForecastEngine(emulator, version=f"bench-b{max_batch}",
-                                max_batch=max_batch, max_queue=n_requests,
-                                cache_entries=0).start()
+        with ForecastEngine(emulator, version=f"bench-b{max_batch}",
+                            max_batch=max_batch, max_queue=n_requests,
+                            cache_entries=0) as engine:
 
-        def run():
-            pendings = [engine.submit(w) for w in windows]
-            for pending in pendings:
-                pending.result(timeout=30.0)
-        return run
+            def run():
+                pendings = [engine.submit(w) for w in windows]
+                for pending in pendings:
+                    pending.result(timeout=30.0)
+            yield run
 
     return Benchmark(
         name=f"serve_latency_b{max_batch}",
@@ -316,19 +357,20 @@ def _serve_throughput_benchmark() -> Benchmark:
     ``serve_throughput`` SLO trajectory entry of BENCH_core.json."""
     clients, requests_per_client = 4, 16
 
+    @contextmanager
     def make():
         from repro.serve import ForecastEngine, run_loadgen
         emulator = _serve_emulator()
         rng = np.random.default_rng(2)
         windows = rng.uniform(
             -1.0, 1.0, size=(clients * requests_per_client, 8, 5))
-        engine = ForecastEngine(emulator, version="bench-loadgen",
-                                cache_entries=0).start()
+        with ForecastEngine(emulator, version="bench-loadgen",
+                            cache_entries=0) as engine:
 
-        def run():
-            run_loadgen(engine, windows, clients=clients,
-                        requests_per_client=requests_per_client)
-        return run
+            def run():
+                run_loadgen(engine, windows, clients=clients,
+                            requests_per_client=requests_per_client)
+            yield run
 
     return Benchmark(
         name="serve_throughput",
@@ -353,10 +395,9 @@ def _nas_benchmark_campaign_benchmark() -> Benchmark:
     n_evaluations = 200
     n_reference_evals = 3
 
+    @contextmanager
     def make():
-        import tempfile
         import time as _time
-        from pathlib import Path
 
         from repro.nas import ArchitecturePerformanceModel, \
             BenchmarkEvaluator, RealTrainingEvaluator, build_archive, \
@@ -369,10 +410,11 @@ def _nas_benchmark_campaign_benchmark() -> Benchmark:
             operations=(Operation("identity"), Operation("lstm", 4),
                         Operation("lstm", 8), Operation("lstm", 12)),
             max_skip_depth=3)
-        tmpdir = tempfile.mkdtemp(prefix="repro_bench_nasb_")
-        path = build_archive(space, ArchitecturePerformanceModel(space),
-                             Path(tmpdir) / "archive.npz")
-        evaluator = BenchmarkEvaluator(path)
+        # The evaluator loads the archive into memory: its file can go.
+        with tempfile.TemporaryDirectory(prefix="repro_bench_nasb_") as tmp:
+            path = build_archive(space, ArchitecturePerformanceModel(space),
+                                 Path(tmp) / "archive.npz")
+            evaluator = BenchmarkEvaluator(path)
 
         # Reference: what each evaluation costs when it actually trains.
         # Tiny data and 4 epochs — still 5x below the search protocol's
@@ -395,7 +437,7 @@ def _nas_benchmark_campaign_benchmark() -> Benchmark:
         def run():
             run_benchmark_campaign(evaluator, algorithm="rs",
                                    n_evaluations=n_evaluations, seed=0)
-        return run
+        yield run
 
     metadata = {"n_evaluations": n_evaluations,
                 "n_records": 512, "fidelity": "benchmark (tabular)",
@@ -429,10 +471,8 @@ def _hyperband_campaign_benchmark() -> Benchmark:
     rs_evaluations = 200
     multiplier = 4
 
+    @contextmanager
     def make():
-        import tempfile
-        from pathlib import Path
-
         from repro.nas import ArchitecturePerformanceModel, \
             BenchmarkEvaluator, Hyperband, build_archive, \
             run_benchmark_campaign, run_multifidelity_campaign
@@ -444,9 +484,10 @@ def _hyperband_campaign_benchmark() -> Benchmark:
                         Operation("lstm", 8), Operation("lstm", 12)),
             max_skip_depth=3)
         model = ArchitecturePerformanceModel(space)
-        tmpdir = tempfile.mkdtemp(prefix="repro_bench_hb_")
-        path = build_archive(space, model, Path(tmpdir) / "archive.npz")
-        evaluator = BenchmarkEvaluator(path)
+        # The evaluator loads the archive into memory: its file can go.
+        with tempfile.TemporaryDirectory(prefix="repro_bench_hb_") as tmp:
+            path = build_archive(space, model, Path(tmp) / "archive.npz")
+            evaluator = BenchmarkEvaluator(path)
         scheduler = Hyperband(min_epochs=1, max_epochs=evaluator.epochs,
                               eta=4, candidate_multiplier=multiplier)
 
@@ -467,7 +508,7 @@ def _hyperband_campaign_benchmark() -> Benchmark:
 
         def run():
             run_multifidelity_campaign(scheduler, evaluator, seed=seed)
-        return run
+        yield run
 
     metadata = {"seed": seed, "rs_evaluations": rs_evaluations,
                 "eta": 4, "min_epochs": 1,
@@ -499,31 +540,31 @@ def _serve_router_benchmark(workers: int) -> Benchmark:
     BENCH_core.json (w4 must sustain >= 2x the w1 throughput)."""
     clients, requests_per_client = 8, 6
 
+    @contextmanager
     def make():
-        import tempfile
-
         from repro.serve import EngineConfig, ModelRegistry
         from repro.serve.loadgen import run_router_loadgen
         from repro.serve.router import ForecastRouter
         emulator = _serve_emulator()
-        registry_dir = tempfile.mkdtemp(prefix="repro-bench-router-")
-        ModelRegistry(registry_dir).publish("bench", emulator,
-                                            activate=True)
+        rng = np.random.default_rng(3)
+        windows = rng.uniform(
+            -1.0, 1.0, size=(clients * requests_per_client, 8, 5))
         # max_batch=1 + cache off: every request occupies its worker for
         # the full pace, so throughput scales with worker overlap only.
         worker_config = EngineConfig(max_batch=1, cache_entries=0,
                                      pace_s=_ROUTER_PACE_SECONDS)
-        router = ForecastRouter(registry_dir, n_workers=workers,
-                                worker_config=worker_config).start()
-        address = router.address
-        rng = np.random.default_rng(3)
-        windows = rng.uniform(
-            -1.0, 1.0, size=(clients * requests_per_client, 8, 5))
+        with tempfile.TemporaryDirectory(
+                prefix="repro-bench-router-") as registry_dir:
+            ModelRegistry(registry_dir).publish("bench", emulator,
+                                                activate=True)
+            with ForecastRouter(registry_dir, n_workers=workers,
+                                worker_config=worker_config) as router:
 
-        def run():
-            run_router_loadgen(address, windows, clients=clients,
-                               requests_per_client=requests_per_client)
-        return run
+                def run():
+                    run_router_loadgen(
+                        router.address, windows, clients=clients,
+                        requests_per_client=requests_per_client)
+                yield run
 
     return Benchmark(
         name=f"serve_router_throughput_w{workers}",
@@ -545,34 +586,34 @@ def _pipeline_cycle_benchmark() -> Benchmark:
     retraining batch."""
     batch_weeks = 6
 
+    @contextmanager
     def make():
-        import tempfile
-        from pathlib import Path
-
         from repro.pipeline import (
             ContinuousPipeline,
             FeedConfig,
             PipelineConfig,
         )
         from repro.serve import ModelRegistry
-        tmpdir = tempfile.mkdtemp(prefix="repro-bench-pipeline-")
         feed = FeedConfig(degrees=20.0, seed=0, batch_weeks=batch_weeks)
         config = PipelineConfig(n_modes=3, pod_rank=6, window=4,
                                 retrain_every=1, train_weeks=36,
                                 val_weeks=12, epochs=1, batch_size=32,
                                 lstm_units=8)
-        service = ContinuousPipeline(
-            Path(tmpdir) / "state", ModelRegistry(Path(tmpdir) / "reg"),
-            feed, config)
-        # Pre-ingest past train+val depth so every timed cycle retrains
-        # (the feed is unbounded; repetitions keep advancing the stream).
-        while (service.state.snapshots_ingested
-               < config.train_weeks + config.val_weeks):
-            service.run(max_batches=1)
+        with tempfile.TemporaryDirectory(
+                prefix="repro-bench-pipeline-") as tmp:
+            service = ContinuousPipeline(
+                Path(tmp) / "state", ModelRegistry(Path(tmp) / "reg"),
+                feed, config)
+            # Pre-ingest past train+val depth so every timed cycle
+            # retrains (the feed is unbounded; repetitions keep advancing
+            # the stream).
+            while (service.state.snapshots_ingested
+                   < config.train_weeks + config.val_weeks):
+                service.run(max_batches=1)
 
-        def run():
-            service.run(max_batches=1)
-        return run
+            def run():
+                service.run(max_batches=1)
+            yield run
 
     return Benchmark(
         name="pipeline_cycle",
@@ -587,7 +628,7 @@ def _pipeline_cycle_benchmark() -> Benchmark:
 
 def default_suite(quick: bool = True, *,
                   max_workers: int = 4) -> list[Benchmark]:
-    """The BENCH_core.json suite (21 benchmarks quick, 24 full).
+    """The BENCH_core.json suite (22 benchmarks quick, 25 full).
 
     ``max_workers`` caps the pool sizes of the serial-vs-pool throughput
     benchmarks (``repro bench --workers``); 0 drops them entirely.
@@ -596,6 +637,7 @@ def default_suite(quick: bool = True, *,
     suite = [_cell_benchmark(*p) for p in points]
     suite.append(_trainer_epoch_benchmark(quick))
     suite.append(_pod_basis_benchmark(quick))
+    suite.append(_sst_synthesis_benchmark(quick))
     suite.append(_random_search_benchmark())
     suite.append(_nas_benchmark_campaign_benchmark())
     suite.append(_hyperband_campaign_benchmark())

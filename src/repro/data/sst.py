@@ -25,6 +25,14 @@ process is expressed as a truncated moving average over per-timestep noise
 fields keyed by ``(seed, t)``, so ``field(t)`` never depends on what else
 was generated.
 
+Synthesis runs in blocks of consecutive weeks (``fields``): the scalars
+of each week (phase cosines, oscillator indices, drift factors, the
+scenario term) are computed one week at a time, and the sums over grid
+cells run once per block, as IEEE ``+`` and ``*`` in the order a
+week-at-a-time loop uses. The result is that loop's bytes, which the
+differential suite checks against the loop itself
+(tests/reference_sst.py).
+
 Drift scenarios (``SSTConfig.scenario``) superimpose a structural change
 on the archive after a configurable onset week, for exercising
 continuous-learning promotion decisions (docs/PIPELINE.md):
@@ -46,6 +54,7 @@ fields).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +71,12 @@ DRIFT_SCENARIOS = ("none", "enso_shift", "trend_acceleration")
 
 #: Mean tropical year expressed in weeks — the seasonal angular frequency.
 WEEKS_PER_YEAR = 365.2425 / 7.0
+
+#: Grid cells per synthesis block: ``fields`` makes consecutive weeks
+#: ``max(1, _BLOCK_CELLS // grid.n_cells)`` at a time (8 at 4 degrees, 1
+#: at 1 degree), so one NumPy call covers a block while a block-sized
+#: array (256 kB) still sits in cache.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -165,9 +180,10 @@ class SyntheticSST:
         self._enso_origin = -(self.config.eddy_truncation + 64)
         self._enso_series = np.empty(0)
         self._ensure_enso(2048)
-        # Eddy noise fields by week, kept across fields() calls so a read
-        # that continues the previous one redraws none of its lags.
-        self._noise_cache: dict[int, np.ndarray] = {}
+        # Eddy noise fields by week, as (stack, row), kept across fields()
+        # calls so a read that continues the previous one redraws none of
+        # its lags.
+        self._noise_cache: dict[int, tuple[np.ndarray, int]] = {}
 
     # ------------------------------------------------------------------
     # Spatial patterns
@@ -327,40 +343,45 @@ class SyntheticSST:
         fast deterministic chaos: strongly predictable a few weeks ahead
         *by a nonlinear model*, nearly unpredictable linearly, and fading
         toward the end of the 8-week forecast window. Integrated once with
-        RK4 from a seeded initial condition (reproducible random access).
+        RK4 from a seeded initial condition (reproducible random access),
+        on Python floats: each operation is the IEEE one the three-element
+        array form performed, in the same order, so the series keeps its
+        bits (tests/reference_sst.py holds the array form).
         """
         need = t_max - self._enso_origin + 1
         if need <= self._weather_series.shape[0]:
             return
         n = max(need, 2 * self._weather_series.shape[0], 2048)
         rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x3A)))
-        state = np.array([1.0, 1.0, 25.0]) + rng.normal(0.0, 1.0, size=3)
+        state = (np.array([1.0, 1.0, 25.0])
+                 + rng.normal(0.0, 1.0, size=3)).tolist()
 
-        def deriv(s: np.ndarray) -> np.ndarray:
-            x, y, z = s
-            return np.array([10.0 * (y - x),
-                             x * (28.0 - z) - y,
-                             x * y - (8.0 / 3.0) * z])
+        def deriv(x: float, y: float, z: float) -> tuple[float, float, float]:
+            return (10.0 * (y - x),
+                    x * (28.0 - z) - y,
+                    x * y - (8.0 / 3.0) * z)
 
         dt = 0.01
+        half, sixth = 0.5 * dt, dt / 6.0
+
+        def step(x: float, y: float, z: float) -> tuple[float, float, float]:
+            a1, b1, c1 = deriv(x, y, z)
+            a2, b2, c2 = deriv(x + half * a1, y + half * b1, z + half * c1)
+            a3, b3, c3 = deriv(x + half * a2, y + half * b2, z + half * c2)
+            a4, b4, c4 = deriv(x + dt * a3, y + dt * b3, z + dt * c3)
+            return (x + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+                    y + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
+                    z + sixth * (c1 + 2 * c2 + 2 * c3 + c4))
+
         # Warm onto the attractor before recording.
         for _ in range(2000):
-            k1 = deriv(state)
-            k2 = deriv(state + 0.5 * dt * k1)
-            k3 = deriv(state + 0.5 * dt * k2)
-            k4 = deriv(state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            state = step(*state)
         per_week = max(1, int(round(self.config.weather_week_units / dt)))
         series = np.empty((n, 2))
         for i in range(n):
-            series[i, 0] = state[0]
-            series[i, 1] = state[2]
+            series[i] = state[0], state[2]
             for _ in range(per_week):
-                k1 = deriv(state)
-                k2 = deriv(state + 0.5 * dt * k1)
-                k3 = deriv(state + 0.5 * dt * k2)
-                k4 = deriv(state + dt * k3)
-                state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                state = step(*state)
         # Standardize with the long-run Lorenz-63 statistics
         # (x: mean 0, std ~7.9; z: mean ~23.5, std ~8.6).
         series[:, 0] /= 7.9
@@ -422,37 +443,133 @@ class SyntheticSST:
     # ------------------------------------------------------------------
     # Eddy (stochastic) component
     # ------------------------------------------------------------------
-    def _noise_field(self, t: int) -> np.ndarray:
-        """White-in-time, spatially smoothed unit-variance noise for week t."""
+    def _white_noise(self, t: int, out: np.ndarray) -> None:
+        """Draw week ``t``'s white noise into ``out`` from its own stream."""
         # SeedSequence requires non-negative entropy; the AR warm-up reaches
         # back `eddy_truncation` weeks before t=0, so offset the key.
         rng = np.random.default_rng(
             np.random.SeedSequence((self.seed, 1, t + (1 << 20))))
-        white = rng.standard_normal(self.grid.shape)
-        smooth = ndimage.gaussian_filter(
-            white, sigma=self.config.eddy_smooth_cells, mode=("nearest", "wrap"))
-        std = smooth.std()
-        return smooth / std if std > 0 else smooth
+        rng.standard_normal(out=out)
 
-    def _eddy_field(self, t: int, cache: dict[int, np.ndarray]
-                    ) -> np.ndarray:
-        """AR(1) eddy field via truncated moving-average representation.
+    def _noise_fields(self, weeks: list[int]) -> np.ndarray:
+        """Spatially smoothed unit-variance noise of ``weeks``, one per row.
+
+        White in time: each week's field depends on ``(seed, week)`` only.
+        One filter call smooths the whole stack (no smoothing across rows);
+        each field is then normalized by its own standard deviation.
+        """
+        noise = np.empty((len(weeks),) + self.grid.shape)
+        for row, t in enumerate(weeks):
+            self._white_noise(t, noise[row])
+        s = self.config.eddy_smooth_cells
+        # In place: the filter buffers each line before writing it back.
+        ndimage.gaussian_filter(noise, sigma=(0, s, s), output=noise,
+                                mode=("nearest", "nearest", "wrap"))
+        for week_noise in noise:
+            std = week_noise.std()
+            if std > 0:
+                week_noise /= std
+        return noise
+
+    def _eddies(self, weeks: range) -> np.ndarray:
+        """AR(1) eddy fields of consecutive ``weeks``, ``(n, n_lat, n_lon)``.
 
         ``e_t = sqrt(1-rho^2) * sum_k rho^k n_{t-k}`` truncated at
         ``eddy_truncation`` lags — random access with bounded cost.
-        Noise fields are looked up in, and added to, ``cache``.
+
+        Noise fields come from, and go to, the instance's noise cache
+        (week -> ``(stack, row)``). Its weeks are walked week by week, as a
+        week-at-a-time read would: each week's missing lags are noted in
+        lag order, and the weeks held are cut back to those nearest that
+        week once there are more than ``2 * (eddy_truncation + 2)``. The
+        noted weeks are then drawn and smoothed together, and each lag
+        ``k`` is added to every week of the block at once, in ``k`` order.
         """
         cfg = self.config
-        acc = np.zeros(self.grid.shape)
-        coeff = np.sqrt(1.0 - cfg.eddy_rho ** 2)
-        for k in range(cfg.eddy_truncation + 1):
-            tk = t - k
-            if tk < -cfg.eddy_truncation:
+        trunc = cfg.eddy_truncation
+        max_cache = trunc + 2
+        held = dict.fromkeys(self._noise_cache)  # the cache's weeks, in order
+        fresh: list[int] = []  # weeks to draw, in draw order
+        for t in weeks:
+            for k in range(trunc + 1):
+                tk = t - k
+                if tk < -trunc:
+                    break
+                if tk not in held:
+                    held[tk] = None
+                    fresh.append(tk)
+            # Bound the cache: keep the lags nearest the week just made.
+            if len(held) > 2 * max_cache:
+                for key in sorted(held, key=lambda k: abs(k - t))[max_cache:]:
+                    del held[key]
+        lags = dict(self._noise_cache)
+        if fresh:
+            noise = self._noise_fields(fresh)
+            lags.update((tk, (noise, row)) for row, tk in enumerate(fresh))
+        self._noise_cache = {tk: lags[tk] for tk in held}
+        t0, n = weeks[0], len(weeks)
+        # Runs of lag weeks held on consecutive rows of one stack, as
+        # [first week, stop week, stack, row of the first week]: a lag
+        # reaches every week of the block through one slice per run.
+        runs: list[list] = []
+        for week in range(max(t0 - trunc, -trunc), t0 + n):
+            stack, row = lags[week]
+            if (runs and runs[-1][2] is stack
+                    and runs[-1][3] + week - runs[-1][0] == row):
+                runs[-1][1] = week + 1
+            else:
+                runs.append([week, week + 1, stack, row])
+        stops = [run[1] for run in runs]
+        acc = np.zeros((n,) + self.grid.shape)
+        term = np.empty_like(acc)
+        for k in range(trunc + 1):
+            # Week t0 + r reads lag week t0 + r - k; none precedes -trunc.
+            lo, hi = max(t0 - k, -trunc), t0 + n - k
+            if lo >= hi:
                 break
-            if tk not in cache:
-                cache[tk] = self._noise_field(tk)
-            acc += (cfg.eddy_rho ** k) * cache[tk]
-        return cfg.eddy_amplitude * self._eddy_modulation * coeff * acc
+            # The runs holding weeks lo..hi-1 start at the one holding lo.
+            for first, stop, stack, row in runs[bisect_right(stops, lo):]:
+                if first >= hi:
+                    break
+                a, b = max(first, lo), min(stop, hi)
+                rows = slice(a - t0 + k, b - t0 + k)
+                np.multiply(stack[row + a - first:row + b - first],
+                            cfg.eddy_rho ** k, out=term[rows])
+                acc[rows] += term[rows]
+        scale = (cfg.eddy_amplitude * self._eddy_modulation
+                 * np.sqrt(1.0 - cfg.eddy_rho ** 2))
+        return np.multiply(scale, acc, out=acc)
+
+    def _deterministic(self, weeks: range, out: np.ndarray) -> None:
+        """Write the deterministic component of consecutive ``weeks``.
+
+        Each week's coefficients are scalars, computed one week at a time;
+        the sum then runs once per block, term by term in a fixed order.
+        """
+        coefficients = []
+        for t in weeks:
+            phase = self._annual_phase(np.float64(t))
+            enso = self.enso_index(t)
+            coefficients.append((
+                np.cos(phase), np.sin(phase), np.cos(2.0 * phase + 0.7),
+                enso, self.enso_index(t - 26), enso ** 2 - 0.5,
+                self.dipole_index(t), self.weather_index(t),
+                t / (37.0 * WEEKS_PER_YEAR),
+                self.config.trend_per_year * t / WEEKS_PER_YEAR))
+        columns = np.array(coefficients).T[:, :, None, None]
+        patterns = (self._seasonal_pattern, self._seasonal_lag_pattern,
+                    self._semiannual_pattern, self._enso_pattern,
+                    self._enso_lag_pattern, self._enso_sq_pattern,
+                    self._dipole_pattern, self._weather_pattern,
+                    self._drift_pattern, self._trend_pattern)
+        term = np.empty_like(out)
+        np.add(self._climatology,
+               np.multiply(patterns[0], columns[0], out=term), out=out)
+        for pattern, column in zip(patterns[1:], columns[1:]):
+            out += np.multiply(pattern, column, out=term)
+        if self.config.scenario != "none":
+            for row, t in enumerate(weeks):
+                out[row] += self._scenario_term(t)
 
     # ------------------------------------------------------------------
     # Public field access
@@ -464,52 +581,43 @@ class SyntheticSST:
     def fields(self, indices) -> np.ndarray:
         """Stack of SST fields, shape ``(len(indices), n_lat, n_lon)``.
 
-        Contiguous ascending index ranges reuse eddy noise fields across
-        steps, so sequential generation costs ~1 smoothing per snapshot.
-        The reuse spans calls on one instance: each call keeps the
-        ``eddy_truncation`` lags that a read starting at the week after
-        its last one needs, so reading a stream in consecutive chunks
-        costs the same as one read. Noise depends on ``(seed, week)``
-        alone, so no value depends on how reads are chunked. Like the
-        lazily extended ENSO and weather series, this cache makes an
-        instance unsafe to share between threads.
+        Each run of consecutive ascending weeks is made in blocks of
+        ``max(1, _BLOCK_CELLS // grid.n_cells)`` weeks: one NumPy call per
+        term and per eddy lag covers a block, and every block draws and
+        smooths its new noise fields together. The bits are those of a
+        week-at-a-time loop (tests/reference_sst.py): per-week scalars
+        are computed one week at a time and the block arithmetic is IEEE
+        ``+`` and ``*`` in that loop's order.
+
+        Noise fields are reused across steps, so sequential generation
+        costs ~1 smoothing per snapshot. The reuse spans calls on one
+        instance: each call keeps the ``eddy_truncation`` lags that a read
+        starting at the week after its last one needs, so reading a stream
+        in consecutive chunks costs the same as one read. Noise depends on
+        ``(seed, week)`` alone, so no value depends on how reads are
+        chunked. Like the lazily extended ENSO and weather series, this
+        cache makes an instance unsafe to share between threads.
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
         out = np.empty((idx.size,) + self.grid.shape, dtype=np.float64)
-        noise_cache = self._noise_cache
-        max_cache = self.config.eddy_truncation + 2
-        for row, t in enumerate(idx):
-            t = int(t)
-            phase = self._annual_phase(np.float64(t))
-            deterministic = (
-                self._climatology
-                + self._seasonal_pattern * np.cos(phase)
-                + self._seasonal_lag_pattern * np.sin(phase)
-                + self._semiannual_pattern * np.cos(2.0 * phase + 0.7)
-                + self._enso_pattern * self.enso_index(t)
-                + self._enso_lag_pattern * self.enso_index(t - 26)
-                + self._enso_sq_pattern * (self.enso_index(t) ** 2 - 0.5)
-                + self._dipole_pattern * self.dipole_index(t)
-                + self._weather_pattern * self.weather_index(t)
-                + self._drift_pattern * (t / (37.0 * WEEKS_PER_YEAR))
-                + self._trend_pattern * (self.config.trend_per_year
-                                         * t / WEEKS_PER_YEAR))
-            if self.config.scenario != "none":
-                deterministic = deterministic + self._scenario_term(t)
-            out[row] = deterministic + self._eddy_field(t, noise_cache)
-            # Bound the cache: keep the lags nearest the week just made.
-            if len(noise_cache) > 2 * max_cache:
-                for key in sorted(noise_cache,
-                                  key=lambda k: abs(k - t))[max_cache:]:
-                    del noise_cache[key]
+        block = max(1, _BLOCK_CELLS // self.grid.n_cells)
+        bounds = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(),
+                  idx.size]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            for row in range(start, stop, block):
+                first = int(idx[row])
+                weeks = range(first, first + min(block, stop - row))
+                view = out[row:row + len(weeks)]
+                self._deterministic(weeks, out=view)
+                view += self._eddies(weeks)
         if idx.size:
             # Keep only the lags a read continuing at the next week reuses.
             last = int(idx[-1])
             reused = range(last - self.config.eddy_truncation + 1, last + 1)
-            for key in [k for k in noise_cache if k not in reused]:
-                del noise_cache[key]
+            for key in [k for k in self._noise_cache if k not in reused]:
+                del self._noise_cache[key]
         out[:, ~self.ocean_mask] = np.nan
         return out
 

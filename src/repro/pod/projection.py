@@ -26,10 +26,11 @@ def project_coefficients(basis: PODBasis, snapshots: np.ndarray,
         ``(N_h, n)`` raw snapshots; the basis mean is removed first unless
         ``centered=True``.
     """
-    snaps = check_matrix(snapshots, name="snapshots")
     if not centered:
-        snaps = basis.stats.center(snaps)
-    elif snaps.shape[0] != basis.state_dim:
+        # center() validates its input: one finiteness pass, not two.
+        return basis.modes.T @ basis.stats.center(snapshots)
+    snaps = check_matrix(snapshots, name="snapshots")
+    if snaps.shape[0] != basis.state_dim:
         raise ValueError(
             f"snapshot dimension {snaps.shape[0]} does not match basis "
             f"dimension {basis.state_dim}")
@@ -58,8 +59,7 @@ def projection_error(basis: PODBasis, snapshots: np.ndarray) -> float:
     ``sum_{i>N_r} lambda_i / sum_i lambda_i`` (Eq. 8, with the eigenvalue
     power corrected — see :mod:`repro.pod.basis`).
     """
-    snaps = check_matrix(snapshots, name="snapshots")
-    centered = basis.stats.center(snaps)
+    centered = basis.stats.center(snapshots)
     coeff = basis.modes.T @ centered
     recon = basis.modes @ coeff
     denom = float(np.sum(centered ** 2))

@@ -8,6 +8,10 @@ separation, and one reps=1 run of the full quick suite through the
 """
 
 import json
+import multiprocessing
+import tempfile
+import threading
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -22,7 +26,7 @@ from repro.cli import main
 
 
 def _constant_bench(name="noop", metadata=None):
-    return Benchmark(name=name, make=lambda: (lambda: None),
+    return Benchmark(name=name, make=lambda: nullcontext(lambda: None),
                      metadata=metadata or {"k": 1})
 
 
@@ -37,18 +41,20 @@ class TestRunBenchmark:
         assert result.reps == 4
 
     def test_setup_not_timed(self):
-        calls = {"make": 0, "run": 0}
+        calls = {"make": 0, "run": 0, "teardown": 0}
 
+        @contextmanager
         def make():
             calls["make"] += 1
 
             def run():
                 calls["run"] += 1
-            return run
+            yield run
+            calls["teardown"] += 1
 
         run_benchmark(Benchmark(name="b", make=make), reps=3)
-        assert calls["make"] == 1
-        assert calls["run"] == 4  # 1 warmup + 3 timed
+        assert calls == {"make": 1, "run": 4,  # 1 warmup + 3 timed
+                         "teardown": 1}
 
     def test_invalid_reps(self):
         with pytest.raises(ValueError, match="reps"):
@@ -124,3 +130,34 @@ class TestCoreSuite:
         assert set(json.loads(out.read_text())) == {"pod_basis"}
 
         assert main(["bench", "--filter", "no_such_bench"]) == 2
+
+
+class TestTeardown:
+    """Every entry tears down what its setup started: running the suite
+    leaves no pool or router worker process, no engine or router thread,
+    and no temp directory behind."""
+
+    #: Entries whose setup starts processes, threads or temp directories.
+    RESOURCEFUL = ("checkpoint_roundtrip", "nas_benchmark_campaign",
+                   "nas_hyperband_campaign", "parallel_search_",
+                   "serve_", "pipeline_cycle")
+
+    @staticmethod
+    def _repro_threads() -> set:
+        return {t for t in threading.enumerate()
+                if t.name.startswith("repro-")}
+
+    def test_suite_leaves_nothing_running(self, tmp_path, monkeypatch):
+        suite = [b for b in default_suite(quick=True, max_workers=4)
+                 if b.name.startswith(self.RESOURCEFUL)]
+        assert len(suite) == 13
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        children = set(multiprocessing.active_children())
+        threads = self._repro_threads()
+        run_suite(suite, reps=1)
+        added = self._repro_threads() - threads
+        for thread in added:
+            thread.join(timeout=5.0)
+        assert [t.name for t in added if t.is_alive()] == []
+        assert set(multiprocessing.active_children()) <= children
+        assert sorted(p.name for p in tmp_path.iterdir()) == []

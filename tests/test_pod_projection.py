@@ -9,6 +9,7 @@ from repro.pod import (
     projection_error,
     reconstruct,
 )
+from repro.utils import validation
 
 
 @pytest.fixture()
@@ -51,6 +52,35 @@ class TestProjectReconstruct:
         basis = fit_pod(snapshots, 2)
         with pytest.raises(ValueError):
             reconstruct(basis, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_snapshots_validated_once(self, snapshots, centered,
+                                      monkeypatch):
+        """One finiteness pass per projection, same coefficients."""
+        basis = fit_pod(snapshots, 2)
+        centered_snaps = snapshots - basis.stats.mean[:, None]
+        expected = basis.modes.T @ centered_snaps
+        checked = []
+        check_array = validation.check_array
+        monkeypatch.setattr(
+            validation, "check_array",
+            lambda x, **kw: checked.append(kw["name"]) or check_array(x, **kw))
+        coeff = project_coefficients(
+            basis, centered_snaps if centered else snapshots,
+            centered=centered)
+        assert checked == ["snapshots"]
+        assert coeff.tobytes() == expected.tobytes()
+        checked.clear()
+        projection_error(basis, snapshots)
+        assert checked == ["snapshots"]
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_non_finite_snapshots_refused(self, snapshots, centered):
+        basis = fit_pod(snapshots, 2)
+        snapshots[3, 4] = np.nan
+        with pytest.raises(ValueError,
+                           match="^snapshots contains non-finite values$"):
+            project_coefficients(basis, snapshots, centered=centered)
 
     def test_projection_is_idempotent(self, snapshots):
         basis = fit_pod(snapshots, 2)

@@ -61,8 +61,8 @@ class TestChunkedReads:
         reads, noise, per_call_noise = self.PATTERNS[pattern]
         gen = self._generator()
         drawn = []
-        noise_field = gen._noise_field
-        gen._noise_field = lambda t: drawn.append(t) or noise_field(t)
+        white_noise = gen._white_noise
+        gen._white_noise = lambda t, out: drawn.append(t) or white_noise(t, out)
         for weeks in reads:
             snaps = gen.snapshots(weeks)
             assert snaps.tobytes() == np.ascontiguousarray(
@@ -295,8 +295,7 @@ class TestConfigValidation:
 
     def test_eddy_has_memory(self, coarse_grid):
         gen = SyntheticSST(grid=coarse_grid, seed=4)
-        e0 = gen._eddy_field(100, {})
-        e1 = gen._eddy_field(101, {})
+        e0, e1 = gen._eddies(range(100, 102))
         mask = gen.ocean_mask
         corr = np.corrcoef(e0[mask], e1[mask])[0, 1]
         assert corr > 0.4  # AR(1) rho = 0.65
