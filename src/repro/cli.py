@@ -317,8 +317,13 @@ def search_main(argv: list[str]) -> int:
         parser.error(f"--nodes must be >= 1, got {args.nodes}")
     if args.wall <= 0:
         parser.error(f"--wall must be positive, got {args.wall}")
+    if args.workers is not None and args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
     if args.walltime is not None and args.walltime <= 0:
         parser.error(f"--walltime must be positive, got {args.walltime}")
+    if args.checkpoint_every is not None and args.checkpoint_every <= 0:
+        parser.error(f"--checkpoint-every must be positive, got "
+                     f"{args.checkpoint_every}")
     if args.checkpoint_every is not None and args.checkpoint is None:
         parser.error("--checkpoint-every requires --checkpoint")
 
@@ -409,35 +414,39 @@ def search_main(argv: list[str]) -> int:
         checkpoint = CheckpointPolicy(args.checkpoint,
                                       every_seconds=args.checkpoint_every)
 
-    if args.resume is not None:
-        print(f"resuming campaign from {args.resume}")
-        algorithm, tracker = resume_search(
-            resume_state, space, evaluator, workers=args.workers,
-            walltime=args.walltime, checkpoint=checkpoint)
-    else:
-        if args.algorithm == "ae":
-            algorithm = AgingEvolution(space, rng=args.seed)
-        elif args.algorithm == "rs":
-            algorithm = RandomSearch(space, rng=args.seed)
-        elif args.algorithm == "ga":
-            algorithm = GeneticSearch(space, rng=args.seed,
-                                      population_size=min(20, space.size),
-                                      tournament_size=4)
+    try:
+        if args.resume is not None:
+            print(f"resuming campaign from {args.resume}")
+            algorithm, tracker = resume_search(
+                resume_state, space, evaluator, workers=args.workers,
+                walltime=args.walltime, checkpoint=checkpoint)
         else:
-            alloc = rl_node_allocation(args.nodes, args.agents)
-            algorithm = DistributedRL(
-                space, rng=args.seed, n_agents=args.agents,
-                workers_per_agent=alloc.workers_per_agent)
-        partition = ThetaPartition(n_nodes=args.nodes,
-                                   wall_seconds=args.wall)
-        mode = "in-loop" if args.workers is None else (
-            "serial backend" if args.workers == 0
-            else f"{args.workers}-worker pool")
-        print(f"search: {args.algorithm} on {args.nodes} simulated nodes, "
-              f"{args.wall:g}s simulated wall, evaluation: {mode}")
-        tracker = run_search(algorithm, evaluator, partition,
-                             rng=args.seed, workers=args.workers,
-                             walltime=args.walltime, checkpoint=checkpoint)
+            if args.algorithm == "ae":
+                algorithm = AgingEvolution(space, rng=args.seed)
+            elif args.algorithm == "rs":
+                algorithm = RandomSearch(space, rng=args.seed)
+            elif args.algorithm == "ga":
+                algorithm = GeneticSearch(space, rng=args.seed,
+                                          population_size=min(20, space.size),
+                                          tournament_size=4)
+            else:
+                alloc = rl_node_allocation(args.nodes, args.agents)
+                algorithm = DistributedRL(
+                    space, rng=args.seed, n_agents=args.agents,
+                    workers_per_agent=alloc.workers_per_agent)
+            partition = ThetaPartition(n_nodes=args.nodes,
+                                       wall_seconds=args.wall)
+            mode = "in-loop" if args.workers is None else (
+                "serial backend" if args.workers == 0
+                else f"{args.workers}-worker pool")
+            print(f"search: {args.algorithm} on {args.nodes} simulated nodes, "
+                  f"{args.wall:g}s simulated wall, evaluation: {mode}")
+            tracker = run_search(algorithm, evaluator, partition,
+                                 rng=args.seed, workers=args.workers,
+                                 walltime=args.walltime, checkpoint=checkpoint)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.checkpoint is not None:
         print(f"checkpoint written to {args.checkpoint}")
     print(f"evaluations completed: {tracker.n_evaluations}")

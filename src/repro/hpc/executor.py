@@ -14,18 +14,23 @@ Unused remainder nodes (e.g. 7 of 128) never run anything.
 Both return the populated :class:`~repro.hpc.tracking.SearchTracker`.
 Evaluations still in flight at the wall limit keep their node busy
 (counted in utilization) but are not recorded as completed — matching how
-the paper counts evaluations.
+the paper counts evaluations. What the two share (the clock, the
+tracker, the node RNG streams, the task feed, the checkpoint envelope,
+the run and its teardown) is written once, in ``_Campaign``.
 
 Both executors optionally route evaluations through an
 :class:`~repro.hpc.parallel.EvaluationBackend` (``backend=`` or
 ``workers=``): simulated timestamps are assigned exactly as in the
 in-loop path, but the evaluations themselves run on a process pool.
-Backend mode derives one order-stable task stream per evaluation
-(:func:`repro.utils.rng.child_sequence`) instead of threading the node
-streams through ``evaluate``, so a backend run is bitwise identical
-across worker counts — though not to the legacy ``backend=None`` path,
-whose historical node-stream threading is preserved untouched
-(docs/PARALLELISM.md).
+A ``backend=`` belongs to the caller and stays open; a pool built from
+``workers=`` belongs to the run and is closed when it ends or fails. A
+resume is checked before any pool is built, so a refused one starts no
+worker process. Backend mode derives one order-stable task stream per
+evaluation (:func:`repro.utils.rng.child_sequence`) instead of threading
+the node streams through ``evaluate``, so a backend run is bitwise
+identical across worker counts — though not to the legacy
+``backend=None`` path, whose historical node-stream threading is
+preserved untouched (docs/PARALLELISM.md).
 
 Walltime-bounded campaigns (docs/CHECKPOINTING.md)
 --------------------------------------------------
@@ -51,8 +56,6 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-import numpy as np
-
 from repro import obs
 from repro.durable import atomic_write_json, check_envelope, \
     check_identity, read_json
@@ -75,61 +78,141 @@ __all__ = ["run_asynchronous_search", "run_synchronous_rl_search",
            "run_search", "resume_search"]
 
 
-def _resolve_backend(evaluator: Evaluator,
-                     backend: EvaluationBackend | None,
-                     workers: int | None
-                     ) -> tuple[EvaluationBackend | None, bool]:
-    """``(backend, owned)`` for the ``backend=``/``workers=`` pair; an
-    executor closes a backend only if it built it here."""
-    if backend is not None:
-        if workers is not None:
-            raise ValueError("pass either backend= or workers=, not both")
-        return backend, False
-    return evaluation_backend(evaluator, workers), True
+class _Campaign:
+    """What both executors share: setup, checkpoint envelope, run.
 
-
-def _check_resume_state(resume_state: dict | None, mode: str,
-                        partition: ThetaPartition,
-                        uses_backend: bool,
-                        evaluator: Evaluator) -> dict | None:
-    """Refuse a resume that would continue a different campaign.
-
-    Evaluators that represent external state — e.g. a
-    :class:`~repro.nas.benchmark.BenchmarkEvaluator` bound to an archive
-    file by content digest — record an identity
-    (:func:`repro.nas.evaluation.evaluator_identity`) that a resume must
-    match. Evaluators without one (surrogate, real training) record
-    ``None`` and skip that check, exactly as all pre-existing checkpoints
-    do.
+    Built fresh from ``rng`` with ``n_streams`` node RNG streams, or from
+    a ``resume_state`` that must continue the same experiment. The resume
+    is checked before any backend exists; a backend built here from
+    ``workers`` is closed when the run ends or its setup raises, while a
+    ``backend=`` stays the caller's.
     """
-    if resume_state is None:
-        return None
-    source = "resume_state"
-    check_envelope(resume_state, source, fmt=CAMPAIGN_FORMAT,
-                   versions=(CHECKPOINT_VERSION,),
-                   describe="a campaign checkpoint")
-    check_identity(source, "mode", resume_state.get("mode"), mode)
-    saved = resume_state["partition"]
-    check_identity(source, "partition (nodes, wall seconds)",
-                   (int(saved["n_nodes"]), float(saved["wall_seconds"])),
-                   (partition.n_nodes, partition.wall_seconds))
-    check_identity(source, "evaluation mode (--workers)",
-                   "backend" if resume_state.get("uses_backend")
-                   else "in-loop",
-                   "backend" if uses_backend else "in-loop")
-    if resume_state.get("evaluator") is not None:
-        check_identity(source, "evaluator", resume_state["evaluator"],
-                       evaluator_identity(evaluator))
-    return resume_state
 
+    def __init__(self, mode: str, algorithm: SearchAlgorithm,
+                 evaluator: Evaluator, partition: ThetaPartition,
+                 n_streams: int, *, cluster: ClusterConfig | None, rng,
+                 backend: EvaluationBackend | None, workers: int | None,
+                 walltime: float | None,
+                 checkpoint: CheckpointPolicy | None,
+                 resume_state: dict | None) -> None:
+        if backend is not None and workers is not None:
+            raise ValueError("pass either backend= or workers=, not both")
+        if walltime is not None and walltime <= 0:
+            raise ValueError(f"walltime must be positive, got {walltime}")
+        uses_backend = backend is not None or workers is not None
+        self.mode = mode
+        self.algorithm = algorithm
+        self.evaluator = evaluator
+        self.partition = partition
+        self.cluster = cluster or ClusterConfig()
+        self.checkpoint = checkpoint
+        self.resume_state = resume_state
+        self.queue = EventQueue()
+        self.task_root = None
+        if resume_state is None:
+            self.tracker = SearchTracker(partition.n_nodes,
+                                         partition.wall_seconds)
+            gen = as_generator(rng)
+            self.node_rngs = spawn(gen, n_streams)
+            if uses_backend:
+                # Task streams are grandchildren of the run root (the
+                # node streams are its first children) — no collisions.
+                self.task_root = as_seed_sequence(gen).spawn(1)[0]
+        else:
+            self._check_resume(uses_backend)
+            self.tracker = SearchTracker.from_state(resume_state["tracker"])
+            self.queue.now = float(resume_state["now"])
+            self.node_rngs = [generator_from_state(s)
+                              for s in resume_state["node_rngs"]]
+            if uses_backend:
+                self.task_root = sequence_from_state(
+                    resume_state["task_root"])
+        self.end = partition.wall_seconds if walltime is None \
+            else min(self.queue.now + walltime, partition.wall_seconds)
+        self.owned = backend is None
+        self.backend = evaluation_backend(evaluator, workers) \
+            if self.owned else backend
+        self.feed = None
+        if uses_backend:
+            try:
+                self.feed = TaskFeed(algorithm, self.backend, self.task_root)
+                if resume_state is not None:
+                    self.feed.load_state_dict(resume_state["feed"])
+            except BaseException:
+                self.close()
+                raise
 
-def _campaign_end(queue: EventQueue, partition: ThetaPartition,
-                  walltime: float | None) -> float:
-    if walltime is None:
-        return partition.wall_seconds
-    if walltime <= 0:
-        raise ValueError(f"walltime must be positive, got {walltime}")
-    return min(queue.now + walltime, partition.wall_seconds)
+    def _check_resume(self, uses_backend: bool) -> None:
+        """Refuse a resume that would continue a different campaign.
+
+        Evaluators that represent external state — e.g. a
+        :class:`~repro.nas.benchmark.BenchmarkEvaluator` bound to an
+        archive file by content digest — record an identity
+        (:func:`repro.nas.evaluation.evaluator_identity`) that a resume
+        must match. Evaluators without one (surrogate, real training)
+        record ``None`` and skip that check, exactly as all pre-existing
+        checkpoints do.
+        """
+        state, source = self.resume_state, "resume_state"
+        check_envelope(state, source, fmt=CAMPAIGN_FORMAT,
+                       versions=(CHECKPOINT_VERSION,),
+                       describe="a campaign checkpoint")
+        check_identity(source, "mode", state.get("mode"), self.mode)
+        saved = state["partition"]
+        check_identity(source, "partition (nodes, wall seconds)",
+                       (int(saved["n_nodes"]), float(saved["wall_seconds"])),
+                       (self.partition.n_nodes, self.partition.wall_seconds))
+        check_identity(source, "evaluation mode (--workers)",
+                       "backend" if state.get("uses_backend") else "in-loop",
+                       "backend" if uses_backend else "in-loop")
+        if state.get("evaluator") is not None:
+            check_identity(source, "evaluator", state["evaluator"],
+                           evaluator_identity(self.evaluator))
+
+    def payload(self, **executor_state) -> dict:
+        """The campaign checkpoint of the current instant: the envelope
+        both executors write, plus ``executor_state``."""
+        return {
+            "format": CAMPAIGN_FORMAT, "version": CHECKPOINT_VERSION,
+            "mode": self.mode,
+            "now": float(self.queue.now),
+            "partition": {"n_nodes": self.partition.n_nodes,
+                          "wall_seconds": self.partition.wall_seconds},
+            "cluster": asdict(self.cluster),
+            "uses_backend": self.feed is not None,
+            "evaluator": evaluator_identity(self.evaluator),
+            "task_root": (sequence_state(self.task_root)
+                          if self.task_root is not None else None),
+            "feed": (self.feed.state_dict() if self.feed is not None
+                     else None),
+            "algorithm": search_state(self.algorithm),
+            "tracker": self.tracker.state_dict(),
+            "node_rngs": [generator_state(g) for g in self.node_rngs],
+            **executor_state,
+        }
+
+    def run(self, scope: str, start, payload) -> SearchTracker:
+        """``start()`` the executor's nodes, advance the clock to the
+        campaign end writing ``payload()`` as checkpoints, tear down."""
+        run_scope = obs.scope(scope)
+        try:
+            with run_scope:
+                start()
+                _drive(self.queue, self.end, self.checkpoint, payload)
+        finally:
+            self.close()
+        _record_run_metrics(self.tracker, self.partition,
+                            run_scope.elapsed_s)
+        return self.tracker
+
+    def close(self) -> None:
+        # The final checkpoint (written by _drive) has recorded the
+        # look-ahead still in flight; a resume re-submits it, so this
+        # run withdraws it instead of leaving it on a caller's pool.
+        if self.feed is not None:
+            self.feed.cancel()
+        if self.owned and self.backend is not None:
+            self.backend.close()
 
 
 def _drive(queue: EventQueue, end: float,
@@ -152,11 +235,31 @@ def _drive(queue: EventQueue, end: float,
         atomic_write_json(checkpoint.path, payload())
 
 
+def _record_run_metrics(tracker: SearchTracker, partition: ThetaPartition,
+                        wall_s: float) -> None:
+    """Simulated vs wall-clock accounting of one executor run."""
+    if not obs.enabled():
+        return
+    obs.counter_add("hpc/evaluations_completed", tracker.n_evaluations)
+    obs.counter_add("hpc/failures", tracker.n_failures)
+    obs.counter_add("hpc/simulated_node_seconds",
+                    partition.n_nodes * partition.wall_seconds)
+    if tracker.n_evaluations:
+        obs.gauge_set("hpc/simulated_seconds_per_evaluation",
+                      sum(r.duration for r in tracker.records)
+                      / tracker.n_evaluations)
+    # How much simulated machine time one wall-clock second buys — the
+    # speedup of the discrete-event simulation over the real cluster.
+    obs.gauge_set("hpc/simulated_per_wall_second",
+                  partition.n_nodes * partition.wall_seconds
+                  / max(wall_s, 1e-12))
+
+
 # ---------------------------------------------------------------------------
 # Asynchronous execution (aging evolution, random search)
 # ---------------------------------------------------------------------------
 
-class _AsyncCampaign:
+class _AsyncNodes:
     """Node lifecycles as data: each node owns exactly one pending event.
 
     Descriptor kinds (``when`` is absolute simulated time):
@@ -171,52 +274,63 @@ class _AsyncCampaign:
     simultaneous events keep their tie-break.
     """
 
-    def __init__(self, algorithm: SearchAlgorithm, evaluator: Evaluator,
-                 cluster: ClusterConfig, tracker: SearchTracker,
-                 queue: EventQueue, node_rngs: list[np.random.Generator],
-                 feed: TaskFeed | None) -> None:
-        self.algorithm = algorithm
-        self.evaluator = evaluator
-        self.cluster = cluster
-        self.tracker = tracker
-        self.queue = queue
-        self.node_rngs = node_rngs
-        self.feed = feed
+    def __init__(self, campaign: _Campaign) -> None:
+        self.campaign = campaign
         self.pending: dict[int, dict] = {}
-        self._order = 0
+        self.order = 0
+
+    def start(self) -> None:
+        """Every node's first launch, or the checkpointed events."""
+        state = self.campaign.resume_state
+        if state is None:
+            for node in range(self.campaign.partition.n_nodes):
+                self._start_cycle(node)
+            return
+        for desc in sorted(state["pending"], key=lambda d: d["order"]):
+            self._push(dict(desc, node=int(desc["node"]),
+                            when=float(desc["when"])))
+        self.order = int(state["order"])
+
+    def payload(self) -> dict:
+        return self.campaign.payload(
+            pending=sorted(self.pending.values(), key=lambda d: d["order"]),
+            order=self.order)
 
     # -- event plumbing -----------------------------------------------------
     def _schedule(self, desc: dict) -> None:
-        desc["order"] = self._order
-        self._order += 1
+        desc["order"] = self.order
+        self.order += 1
+        self._push(desc)
+
+    def _push(self, desc: dict) -> None:
         self.pending[desc["node"]] = desc
-        self.queue.schedule_at(desc["when"],
-                               lambda node=desc["node"]: self._fire(node))
+        self.campaign.queue.schedule_at(
+            desc["when"], lambda node=desc["node"]: self._fire(node))
 
     def _fire(self, node: int) -> None:
         desc = self.pending.pop(node)
         if desc["kind"] == "launch":
             self._launch(node)
-        elif desc["kind"] == "finish":
-            self._finish(desc)
         else:
-            self._fail(desc)
+            self._end(desc)
 
     # -- node lifecycle -----------------------------------------------------
-    def start_cycle(self, node: int) -> None:
-        overhead = self.cluster.sample_launch_overhead(self.node_rngs[node])
+    def _start_cycle(self, node: int) -> None:
+        c = self.campaign
+        overhead = c.cluster.sample_launch_overhead(c.node_rngs[node])
         self._schedule({"kind": "launch", "node": node,
-                        "when": float(self.queue.now + overhead)})
+                        "when": float(c.queue.now + overhead)})
 
     def _launch(self, node: int) -> None:
-        if self.feed is not None:
-            arch, result = self.feed.next_result()
+        c = self.campaign
+        if c.feed is not None:
+            arch, result = c.feed.next_result()
         else:
-            arch = self.algorithm.ask()
-            result = self.evaluator.evaluate(arch, self.node_rngs[node])
-        start = self.queue.now
-        self.tracker.node_busy(start)
-        failure_frac = self.cluster.sample_failure(self.node_rngs[node])
+            arch = c.algorithm.ask()
+            result = c.evaluator.evaluate(arch, c.node_rngs[node])
+        start = c.queue.now
+        c.tracker.node_busy(start)
+        failure_frac = c.cluster.sample_failure(c.node_rngs[node])
         if failure_frac is not None:
             # Node crash / NaN loss: the node frees up after the partial
             # run; no reward is reported (asynchronous searches move on).
@@ -231,41 +345,19 @@ class _AsyncCampaign:
                 "reward": float(result.reward),
                 "n_parameters": int(result.n_parameters)})
 
-    def _finish(self, desc: dict) -> None:
-        node = desc["node"]
-        self.tracker.node_idle(self.queue.now)
-        arch = tuple(desc["arch"])
-        self.algorithm.tell(arch, desc["reward"])
-        self.tracker.record_evaluation(EvaluationRecord(
-            architecture=arch, reward=desc["reward"],
-            start_time=desc["start"], end_time=self.queue.now, node=node,
-            n_parameters=desc["n_parameters"]))
-        self.start_cycle(node)
-
-    def _fail(self, desc: dict) -> None:
-        self.tracker.node_idle(self.queue.now)
-        self.tracker.n_failures += 1
-        self.start_cycle(desc["node"])
-
-    # -- checkpointing ------------------------------------------------------
-    def executor_state(self) -> dict:
-        return {
-            "pending": sorted(self.pending.values(),
-                              key=lambda d: d["order"]),
-            "order": self._order,
-            "node_rngs": [generator_state(g) for g in self.node_rngs],
-        }
-
-    def restore(self, state: dict) -> None:
-        self.node_rngs = [generator_from_state(s)
-                          for s in state["node_rngs"]]
-        for desc in sorted(state["pending"], key=lambda d: d["order"]):
-            desc = dict(desc, node=int(desc["node"]),
-                        when=float(desc["when"]))
-            self.pending[desc["node"]] = desc
-            self.queue.schedule_at(
-                desc["when"], lambda node=desc["node"]: self._fire(node))
-        self._order = int(state["order"])
+    def _end(self, desc: dict) -> None:
+        c = self.campaign
+        c.tracker.node_idle(c.queue.now)
+        if desc["kind"] == "fail":
+            c.tracker.n_failures += 1
+        else:
+            arch = tuple(desc["arch"])
+            c.algorithm.tell(arch, desc["reward"])
+            c.tracker.record_evaluation(EvaluationRecord(
+                architecture=arch, reward=desc["reward"],
+                start_time=desc["start"], end_time=c.queue.now,
+                node=desc["node"], n_parameters=desc["n_parameters"]))
+        self._start_cycle(desc["node"])
 
 
 def run_asynchronous_search(algorithm: SearchAlgorithm, evaluator: Evaluator,
@@ -291,96 +383,13 @@ def run_asynchronous_search(algorithm: SearchAlgorithm, evaluator: Evaluator,
         raise ValueError(
             f"{type(algorithm).__name__} is synchronous; use "
             "run_synchronous_rl_search")
-    backend, owned = _resolve_backend(evaluator, backend, workers)
-    resume_state = _check_resume_state(resume_state, "asynchronous",
-                                       partition, backend is not None,
-                                       evaluator)
-    cluster = cluster or ClusterConfig()
-    queue = EventQueue()
-
-    if resume_state is None:
-        tracker = SearchTracker(partition.n_nodes, partition.wall_seconds)
-        gen = as_generator(rng)
-        node_rngs = spawn(gen, partition.n_nodes)
-        task_root = None
-        feed = None
-        if backend is not None:
-            # Task streams are grandchildren of the run root (the node
-            # streams are its first n_nodes children) — no collisions.
-            task_root = as_seed_sequence(gen).spawn(1)[0]
-            feed = TaskFeed(algorithm, backend, task_root)
-    else:
-        tracker = SearchTracker.from_state(resume_state["tracker"])
-        queue.now = float(resume_state["now"])
-        node_rngs = []  # replaced by campaign.restore below
-        task_root = None
-        feed = None
-        if backend is not None:
-            task_root = sequence_from_state(resume_state["task_root"])
-            feed = TaskFeed(algorithm, backend, task_root)
-            feed.load_state_dict(resume_state["feed"])
-
-    campaign = _AsyncCampaign(algorithm, evaluator, cluster, tracker,
-                              queue, node_rngs, feed)
-
-    def payload() -> dict:
-        return {
-            "format": CAMPAIGN_FORMAT, "version": CHECKPOINT_VERSION,
-            "mode": "asynchronous",
-            "now": float(queue.now),
-            "partition": {"n_nodes": partition.n_nodes,
-                          "wall_seconds": partition.wall_seconds},
-            "cluster": asdict(cluster),
-            "uses_backend": feed is not None,
-            "evaluator": evaluator_identity(evaluator),
-            "task_root": (sequence_state(task_root)
-                          if task_root is not None else None),
-            "feed": feed.state_dict() if feed is not None else None,
-            "algorithm": search_state(algorithm),
-            "tracker": tracker.state_dict(),
-            **campaign.executor_state(),
-        }
-
-    run_scope = obs.scope("hpc/run_asynchronous_search")
-    try:
-        with run_scope:
-            if resume_state is None:
-                for node in range(partition.n_nodes):
-                    campaign.start_cycle(node)
-            else:
-                campaign.restore(resume_state)
-            end = _campaign_end(queue, partition, walltime)
-            _drive(queue, end, checkpoint, payload)
-    finally:
-        # The final checkpoint (written by _drive) has recorded the
-        # look-ahead still in flight; a resume re-submits it, so this
-        # run withdraws it instead of leaving it on a caller's pool.
-        if feed is not None:
-            feed.cancel()
-        if owned and backend is not None:
-            backend.close()
-    _record_run_metrics(tracker, partition, run_scope.elapsed_s)
-    return tracker
-
-
-def _record_run_metrics(tracker: SearchTracker, partition: ThetaPartition,
-                        wall_s: float) -> None:
-    """Simulated vs wall-clock accounting of one executor run."""
-    if not obs.enabled():
-        return
-    obs.counter_add("hpc/evaluations_completed", tracker.n_evaluations)
-    obs.counter_add("hpc/failures", tracker.n_failures)
-    obs.counter_add("hpc/simulated_node_seconds",
-                    partition.n_nodes * partition.wall_seconds)
-    if tracker.n_evaluations:
-        obs.gauge_set("hpc/simulated_seconds_per_evaluation",
-                      sum(r.duration for r in tracker.records)
-                      / tracker.n_evaluations)
-    # How much simulated machine time one wall-clock second buys — the
-    # speedup of the discrete-event simulation over the real cluster.
-    obs.gauge_set("hpc/simulated_per_wall_second",
-                  partition.n_nodes * partition.wall_seconds
-                  / max(wall_s, 1e-12))
+    campaign = _Campaign(
+        "asynchronous", algorithm, evaluator, partition, partition.n_nodes,
+        cluster=cluster, rng=rng, backend=backend, workers=workers,
+        walltime=walltime, checkpoint=checkpoint, resume_state=resume_state)
+    nodes = _AsyncNodes(campaign)
+    return campaign.run("hpc/run_asynchronous_search", nodes.start,
+                        nodes.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -413,154 +422,84 @@ def run_synchronous_rl_search(algorithm: DistributedRL, evaluator: Evaluator,
             f"algorithm configured for {algorithm.workers_per_agent} "
             f"workers/agent but {partition.n_nodes} nodes allocate "
             f"{alloc.workers_per_agent}")
-    backend, owned = _resolve_backend(evaluator, backend, workers)
-    resume_state = _check_resume_state(resume_state, "synchronous_rl",
-                                       partition, backend is not None,
-                                       evaluator)
-    cluster = cluster or ClusterConfig()
-    queue = EventQueue()
-
-    if resume_state is None:
-        tracker = SearchTracker(partition.n_nodes, partition.wall_seconds)
-        gen = as_generator(rng)
-        # Node ids: [0, n_agents) are agents; workers follow.
-        worker_rngs = spawn(gen, alloc.n_workers)
-        task_root = None
-        feed = None
-        if backend is not None:
-            task_root = as_seed_sequence(gen).spawn(1)[0]
-            feed = TaskFeed(algorithm, backend, task_root)
-    else:
-        tracker = SearchTracker.from_state(resume_state["tracker"])
-        queue.now = float(resume_state["now"])
-        worker_rngs = [generator_from_state(s)
-                       for s in resume_state["node_rngs"]]
-        task_root = None
-        feed = None
-        if backend is not None:
-            task_root = sequence_from_state(resume_state["task_root"])
-            feed = TaskFeed(algorithm, backend, task_root)
-            feed.load_state_dict(resume_state["feed"])
-
-    def boundary_payload() -> dict:
-        """Campaign state at a round barrier (no events in flight)."""
-        return {
-            "format": CAMPAIGN_FORMAT, "version": CHECKPOINT_VERSION,
-            "mode": "synchronous_rl",
-            "now": float(queue.now),
-            "partition": {"n_nodes": partition.n_nodes,
-                          "wall_seconds": partition.wall_seconds},
-            "cluster": asdict(cluster),
-            "uses_backend": feed is not None,
-            "evaluator": evaluator_identity(evaluator),
-            "task_root": (sequence_state(task_root)
-                          if task_root is not None else None),
-            "feed": feed.state_dict() if feed is not None else None,
-            "algorithm": search_state(algorithm),
-            "tracker": tracker.state_dict(),
-            "node_rngs": [generator_state(g) for g in worker_rngs],
-        }
-
-    # The latest quiescent snapshot; what every checkpoint write persists.
-    boundary = {"state": boundary_payload()}
-
-    def evaluate_round(batches):
-        """Evaluate one round's batch; a whole round is independent given
-        its task seeds, so backend mode submits all of it before the
-        first gather — the round is the pool's natural unit of
-        concurrency."""
-        if feed is None:
-            return [[evaluator.evaluate(batches[agent_idx][w],
-                                        worker_rngs[agent_idx
-                                                    * alloc.workers_per_agent
-                                                    + w])
-                     for w in range(alloc.workers_per_agent)]
-                    for agent_idx in range(alloc.n_agents)]
-        handles = [[backend.submit(tuple(batches[agent_idx][w]),
-                                   feed.next_sequence())
-                    for w in range(alloc.workers_per_agent)]
-                   for agent_idx in range(alloc.n_agents)]
-        return [[backend.gather(h) for h in row] for row in handles]
+    c = _Campaign(
+        "synchronous_rl", algorithm, evaluator, partition, alloc.n_workers,
+        cluster=cluster, rng=rng, backend=backend, workers=workers,
+        walltime=walltime, checkpoint=checkpoint, resume_state=resume_state)
+    queue, tracker, rngs, feed = c.queue, c.tracker, c.node_rngs, c.feed
+    wpa = alloc.workers_per_agent
+    # Worker w trains archs[w] on node n_agents + w. The index is
+    # agent-major, like propose_round's batches, and so is the launch
+    # order, which breaks ties between simultaneous events.
+    rnd: dict = {}
 
     def start_round() -> None:
+        # A round's start is the only quiescent point: every checkpoint
+        # write persists the latest one.
+        rnd["boundary"] = c.payload()
         batches = algorithm.propose_round()
-        rewards = [[0.0] * alloc.workers_per_agent
-                   for _ in range(alloc.n_agents)]
-        state = {"remaining": alloc.n_workers}
+        archs = [arch for batch in batches for arch in batch]
+        overheads = [c.cluster.sample_launch_overhead(g) for g in rngs]
+        if feed is None:
+            results = [evaluator.evaluate(arch, g)
+                       for arch, g in zip(archs, rngs)]
+        else:
+            # A whole round is independent given its task seeds, so it is
+            # submitted before the first gather — the round is the pool's
+            # natural unit of concurrency.
+            handles = [c.backend.submit(tuple(arch), feed.next_sequence())
+                       for arch in archs]
+            results = [c.backend.gather(h) for h in handles]
+        fails = [c.cluster.sample_failure(g) for g in rngs]
+        rnd.update(batches=batches, archs=archs, results=results,
+                   fails=fails, rewards=[0.0] * len(archs),
+                   remaining=len(archs))
+        for worker, overhead in enumerate(overheads):
+            queue.schedule(overhead, lambda worker=worker: launch(worker))
 
-        def worker_finished() -> None:
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                barrier_reached()
+    def launch(worker: int) -> None:
+        start = queue.now
+        tracker.node_busy(start)
+        result, failure_frac = rnd["results"][worker], rnd["fails"][worker]
+        if failure_frac is not None:
+            queue.schedule(failure_frac * result.duration,
+                           lambda: end(worker, start, None))
+        else:
+            queue.schedule(result.duration,
+                           lambda: end(worker, start, result))
 
-        overheads = [cluster.sample_launch_overhead(worker_rngs[worker])
-                     for worker in range(alloc.n_workers)]
-        results = evaluate_round(batches)
-        failure_fracs = [cluster.sample_failure(worker_rngs[worker])
-                         for worker in range(alloc.n_workers)]
-        for agent_idx in range(alloc.n_agents):
-            for w in range(alloc.workers_per_agent):
-                worker = agent_idx * alloc.workers_per_agent + w
-                node = alloc.n_agents + worker
-                arch = batches[agent_idx][w]
-                overhead = overheads[worker]
-                result = results[agent_idx][w]
-                failure_frac = failure_fracs[worker]
-
-                def launch(agent_idx=agent_idx, w=w, node=node, arch=arch,
-                           result=result, failure_frac=failure_frac) -> None:
-                    start = queue.now
-                    tracker.node_busy(start)
-
-                    def fail() -> None:
-                        # The barrier still needs a number: report the
-                        # punishment reward, count no completed evaluation.
-                        tracker.node_idle(queue.now)
-                        tracker.n_failures += 1
-                        rewards[agent_idx][w] = cluster.failure_reward
-                        worker_finished()
-
-                    def finish() -> None:
-                        tracker.node_idle(queue.now)
-                        rewards[agent_idx][w] = result.reward
-                        tracker.record_evaluation(EvaluationRecord(
-                            architecture=tuple(arch), reward=result.reward,
-                            start_time=start, end_time=queue.now, node=node,
-                            n_parameters=result.n_parameters))
-                        worker_finished()
-
-                    if failure_frac is not None:
-                        queue.schedule(failure_frac * result.duration, fail)
-                    else:
-                        queue.schedule(result.duration, finish)
-
-                queue.schedule(overhead, launch)
-
-        def barrier_reached() -> None:
+    def end(worker: int, start: float, result) -> None:
+        tracker.node_idle(queue.now)
+        if result is None:
+            # The barrier still needs a number: report the punishment
+            # reward, count no completed evaluation.
+            tracker.n_failures += 1
+            rnd["rewards"][worker] = c.cluster.failure_reward
+        else:
+            rnd["rewards"][worker] = result.reward
+            tracker.record_evaluation(EvaluationRecord(
+                architecture=tuple(rnd["archs"][worker]),
+                reward=result.reward, start_time=start,
+                end_time=queue.now, node=alloc.n_agents + worker,
+                n_parameters=result.n_parameters))
+        rnd["remaining"] -= 1
+        if rnd["remaining"] == 0:
             # All-reduce + PPO update: agent nodes busy briefly.
-            for agent_node in range(alloc.n_agents):
+            for _ in range(alloc.n_agents):
                 tracker.node_busy(queue.now)
+            queue.schedule(c.cluster.rl_update_seconds, update_done)
 
-            def update_done() -> None:
-                for agent_node in range(alloc.n_agents):
-                    tracker.node_idle(queue.now)
-                algorithm.finish_round(batches, rewards)
-                boundary["state"] = boundary_payload()
-                start_round()
+    def update_done() -> None:
+        for _ in range(alloc.n_agents):
+            tracker.node_idle(queue.now)
+        rewards = rnd["rewards"]
+        algorithm.finish_round(rnd["batches"],
+                               [rewards[a * wpa:(a + 1) * wpa]
+                                for a in range(alloc.n_agents)])
+        start_round()
 
-            queue.schedule(cluster.rl_update_seconds, update_done)
-
-    run_scope = obs.scope("hpc/run_synchronous_rl_search")
-    try:
-        with run_scope:
-            start_round()
-            end = _campaign_end(queue, partition, walltime)
-            _drive(queue, end, checkpoint, lambda: boundary["state"])
-    finally:
-        if owned and backend is not None:
-            backend.close()
-    _record_run_metrics(tracker, partition, run_scope.elapsed_s)
-    return tracker
+    return c.run("hpc/run_synchronous_rl_search", start_round,
+                 lambda: rnd["boundary"])
 
 
 # ---------------------------------------------------------------------------
@@ -568,31 +507,18 @@ def run_synchronous_rl_search(algorithm: DistributedRL, evaluator: Evaluator,
 # ---------------------------------------------------------------------------
 
 def run_search(algorithm: SearchAlgorithm, evaluator: Evaluator,
-               partition: ThetaPartition, *,
-               cluster: ClusterConfig | None = None,
-               rng=None, backend: EvaluationBackend | None = None,
-               workers: int | None = None,
-               walltime: float | None = None,
-               checkpoint: CheckpointPolicy | None = None,
-               resume_state: dict | None = None) -> SearchTracker:
-    """Dispatch on the algorithm's execution model."""
+               partition: ThetaPartition, **campaign) -> SearchTracker:
+    """Dispatch on the algorithm's execution model; the ``campaign``
+    keywords are those of :func:`run_asynchronous_search`."""
     if algorithm.asynchronous:
         return run_asynchronous_search(algorithm, evaluator, partition,
-                                       cluster=cluster, rng=rng,
-                                       backend=backend, workers=workers,
-                                       walltime=walltime,
-                                       checkpoint=checkpoint,
-                                       resume_state=resume_state)
+                                       **campaign)
     if not isinstance(algorithm, DistributedRL):
         raise TypeError(
             f"synchronous execution supports DistributedRL, got "
             f"{type(algorithm).__name__}")
     return run_synchronous_rl_search(algorithm, evaluator, partition,
-                                     cluster=cluster, rng=rng,
-                                     backend=backend, workers=workers,
-                                     walltime=walltime,
-                                     checkpoint=checkpoint,
-                                     resume_state=resume_state)
+                                     **campaign)
 
 
 def resume_search(source, space, evaluator: Evaluator, *,

@@ -604,6 +604,8 @@ def evaluation_backend(evaluator: Evaluator, workers: int | None,
     :class:`ParallelEvaluator` with ``n`` workers."""
     if workers is None:
         return None
-    if workers <= 0:
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers == 0:
         return SerialEvaluator(evaluator)
     return ParallelEvaluator(evaluator, n_workers=workers, **kwargs)

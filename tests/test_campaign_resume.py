@@ -303,6 +303,31 @@ class TestResumeValidation:
         with pytest.raises(ValueError, match="backend"):
             resume_search(ckpt, small_space, evaluator, workers=0)
 
+    def test_refused_resume_builds_no_pool(self, small_space, evaluator,
+                                           tmp_path):
+        """The resume check runs before any worker process exists, and
+        a backend the caller passed in is the caller's to close."""
+        import multiprocessing
+
+        from repro.hpc import ParallelEvaluator
+        part = make_partition("ae")
+        ckpt = tmp_path / "campaign.json"
+        run_search(make_algorithm("ae", small_space), evaluator, part,
+                   rng=1, walltime=300.0, checkpoint=CheckpointPolicy(ckpt))
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="different experiment"):
+            resume_search(ckpt, small_space, evaluator, workers=2)
+        assert set(multiprocessing.active_children()) == children
+
+        arch = small_space.random_architecture(np.random.default_rng(0))
+        with ParallelEvaluator(evaluator, n_workers=1) as backend:
+            with pytest.raises(ValueError, match="different experiment"):
+                resume_search(ckpt, small_space, evaluator, backend=backend)
+            result = backend.gather(
+                backend.submit(arch, np.random.SeedSequence(0)))
+        assert result.reward == evaluator.evaluate(
+            arch, np.random.default_rng(np.random.SeedSequence(0))).reward
+
     def test_negative_walltime_rejected(self, small_space, evaluator):
         part = make_partition("ae")
         with pytest.raises(ValueError, match="walltime"):

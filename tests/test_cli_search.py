@@ -13,6 +13,14 @@ def _search(capsys, *extra):
     return code, capsys.readouterr().out
 
 
+def _exit_code(argv):
+    """What the shell sees: a returned code or argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestSearchCLI:
     def test_random_search_runs(self, capsys):
         code, out = _search(capsys, "--algorithm", "rs")
@@ -55,6 +63,23 @@ class TestSearchCLI:
         with pytest.raises(SystemExit):
             main(["search", "--algorithm", "nope"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "-3"],
+        ["--algorithm", "sh", "--workers", "-2"],
+        ["--algorithm", "rl", "--agents", "0"],
+        ["--algorithm", "rl", "--nodes", "2"],
+        ["--checkpoint", "{tmp}/c.json", "--checkpoint-every", "0"],
+    ])
+    def test_bad_arguments_exit_2(self, capsys, tmp_path, argv):
+        """A bad value is a usage error (exit 2), never a traceback or
+        a run with some other value."""
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert _exit_code(["search", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "evaluations completed" not in captured.out
+        assert not (tmp_path / "c.json").exists()
+
     def test_top_level_help_names_search(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
@@ -87,3 +112,22 @@ class TestCampaignCLI:
             main(["search", "--walltime", "-1"])
         with pytest.raises(SystemExit):
             main(["search", "--checkpoint-every", "60"])  # no --checkpoint
+
+    @pytest.mark.parametrize("resume_with", [
+        ["--benchmark", "{tmp}/a.npz", "--workers", "2"],
+        ["--benchmark", "{tmp}/b.npz"],
+    ])
+    def test_refused_resume_exits_2(self, capsys, tmp_path, resume_with):
+        """Resuming a campaign as a different experiment (another
+        evaluation mode, another archive) is refused with a diagnosis."""
+        for seed, name in (("0", "a"), ("1", "b")):
+            assert main(["benchmark", "build", "--seed", seed,
+                         "--out", str(tmp_path / f"{name}.npz")]) == 0
+        ckpt = str(tmp_path / "campaign.json")
+        assert main(["search", "--benchmark", str(tmp_path / "a.npz"),
+                     "--algorithm", "rs", "--nodes", "4", "--wall", "600",
+                     "--walltime", "250", "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+        argv = [arg.format(tmp=tmp_path) for arg in resume_with]
+        assert _exit_code(["search", "--resume", ckpt, *argv]) == 2
+        assert "different experiment" in capsys.readouterr().err

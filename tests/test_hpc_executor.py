@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,13 @@ from repro.hpc import (
 from repro.nas import (
     AgingEvolution,
     ArchitecturePerformanceModel,
+    CheckpointPolicy,
     DistributedRL,
     RandomSearch,
     SurrogateEvaluator,
 )
+from repro.nas.space.ops import default_operations
+from repro.nas.space.search_space import StackedLSTMSpace
 
 
 @pytest.fixture()
@@ -157,3 +163,113 @@ class TestClusterConfig:
             ClusterConfig(launch_overhead_mean=-1.0)
         with pytest.raises(ValueError):
             ClusterConfig(rl_update_seconds=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Recorded output: every other executor test compares the code with itself
+# (serial vs pool, cut vs uncut), so a change that moved one RNG draw in
+# both paths would pass all of them. These digests pin the trajectories
+# and checkpoint bytes themselves.
+# ---------------------------------------------------------------------------
+
+ORACLE_PARTITION = ThetaPartition(n_nodes=16, wall_seconds=3600.0)
+
+
+def _oracle_run(kind, workers, cluster, **campaign):
+    space = StackedLSTMSpace(n_layers=5, input_dim=5, output_dim=5,
+                             operations=default_operations())
+    evaluator = SurrogateEvaluator(
+        space, ArchitecturePerformanceModel(space, seed=0))
+    if kind == "ae":
+        algorithm = AgingEvolution(space, rng=3, population_size=20,
+                                   sample_size=5)
+    elif kind == "rs":
+        algorithm = RandomSearch(space, rng=3)
+    else:
+        algorithm = DistributedRL(space, rng=3, n_agents=2,
+                                  workers_per_agent=7)
+    tracker = run_search(algorithm, evaluator, ORACLE_PARTITION,
+                         cluster=cluster, rng=11, workers=workers,
+                         **campaign)
+    return algorithm, tracker
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+#: (algorithm, workers, failure rate) -> (evaluations, sha256 of the
+#: tracker's and the algorithm's sorted-key JSON state).
+RECORDED_RUNS = {
+    ("ae", None, 0.0): (
+        307,
+        "a515e40a647bd35bfa997478d8347dee716bf0b75b9a5afa5d24f004618dfc87"),
+    ("ae", None, 0.1): (
+        272,
+        "fad25acde15917bbad82e440d3124885123689d7efc152c025438799bca88110"),
+    ("ae", 0, 0.0): (
+        296,
+        "c0418e50670ca31de62e876aad64c2cd9291a70119ada6a78fce3a6994fbe1c1"),
+    ("ae", 0, 0.1): (
+        290,
+        "0b686a154161f5486140ee77d5165783aa2a067225f81776603949c62954cf11"),
+    ("rs", None, 0.0): (
+        297,
+        "d963c4d058dcc2baaffdba8c511174e7e1ff8bf3fc1a44227564370e4e8dadab"),
+    ("rs", None, 0.1): (
+        279,
+        "6e9203f31242c544153b447f91e2ea0ec2388f63f945d375c088e80a76e1c6ce"),
+    ("rs", 0, 0.0): (
+        292,
+        "6f94a2b4a23b0e421f71d2a6993cf0254dfc305ea114ec9fb83be31c38049dca"),
+    ("rs", 0, 0.1): (
+        274,
+        "225d8e63179a9fe7f45a487b89a8de03c0e6e8162d0a0e3c1f0b1176fd026883"),
+    ("rl", None, 0.0): (
+        185,
+        "7398e8ec8be30cd39710c1362ddb64690f59944fadfc7a0b37fffce4088699f4"),
+    ("rl", None, 0.1): (
+        177,
+        "8441a867996482b91543b9fc51d254098cc963151ea54d3043b0b378df697240"),
+    ("rl", 0, 0.0): (
+        196,
+        "0e7485deb461751cce510eeadb6460988735fcb8d1e894982e0d015aa73758aa"),
+    ("rl", 0, 0.1): (
+        176,
+        "e807d167459136086198333ba57eedd14bb55c00112723d5304968467eb82151"),
+}
+
+#: (algorithm, workers) -> sha256 of the checkpoint file a 1200 s
+#: allocation leaves with a checkpoint every 300 simulated seconds.
+RECORDED_CHECKPOINTS = {
+    ("ae", None):
+        "a03cb1bbeaae0854d90844b1f7bef3579405742c0c7ada95420f32f197a8a9b7",
+    ("ae", 2):
+        "8d7e51add38e04d258cc02d7789a2f17300275419aa6813c6e8135df4c1e862c",
+    ("rl", None):
+        "41f6db0670e09052e9155cdbbfe7e69aa1b0722b4827248da9641260860159fb",
+    ("rl", 0):
+        "e493555828e4611f25c8b94ae78f71e9ab1e02b2ec061e74d11deaba83a4830a",
+}
+
+
+class TestRecordedOutput:
+    @pytest.mark.parametrize("kind,workers,failure_rate",
+                             list(RECORDED_RUNS))
+    def test_trajectory_digest(self, kind, workers, failure_rate):
+        algorithm, tracker = _oracle_run(
+            kind, workers, ClusterConfig(failure_rate=failure_rate))
+        digest = _sha256(
+            (json.dumps(tracker.state_dict(), sort_keys=True)
+             + json.dumps(algorithm.state_dict(), sort_keys=True)).encode())
+        assert (tracker.n_evaluations, digest) \
+            == RECORDED_RUNS[kind, workers, failure_rate]
+
+    @pytest.mark.parametrize("kind,workers",
+                             list(RECORDED_CHECKPOINTS))
+    def test_checkpoint_bytes(self, kind, workers, tmp_path):
+        path = tmp_path / "campaign.json"
+        _oracle_run(kind, workers, ClusterConfig(), walltime=1200.0,
+                    checkpoint=CheckpointPolicy(path, every_seconds=300.0))
+        assert _sha256(path.read_bytes()) \
+            == RECORDED_CHECKPOINTS[kind, workers]

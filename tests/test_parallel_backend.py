@@ -177,6 +177,10 @@ class TestEvaluationBackendFactory:
         assert pool.n_workers == 2
         pool.close()
 
+    def test_negative_workers_rejected(self, small_space):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            evaluation_backend(_surrogate(small_space), -1)
+
 
 class _FourSlotBackend(SerialEvaluator):
     """Serial evaluation behind a pool-sized capacity, counting submits."""
