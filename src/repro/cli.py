@@ -192,7 +192,7 @@ def _multifidelity_search(args, evaluator, resume_state) -> int:
                   f"{args.resume} ({resume_state['n_evaluations']} "
                   f"evaluations done)")
             report = resume_multifidelity_campaign(
-                resume_state, evaluator, scheduler=scheduler,
+                args.resume, evaluator, scheduler=scheduler,
                 workers=args.workers, checkpoint=args.checkpoint,
                 stop_after_evaluations=args.stop_after)
         else:
@@ -250,9 +250,9 @@ def search_main(argv: list[str]) -> int:
                              "PPO, genetic joint arch/hyperparameter "
                              "search, successive halving, or Hyperband "
                              "(default: ae)")
-    parser.add_argument("--nodes", type=int, default=16, metavar="N",
+    parser.add_argument("--nodes", type=int, default=None, metavar="N",
                         help="simulated partition size (default: 16)")
-    parser.add_argument("--wall", type=float, default=3600.0, metavar="S",
+    parser.add_argument("--wall", type=float, default=None, metavar="S",
                         help="simulated wall-clock budget in seconds "
                              "(default: 3600)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
@@ -267,7 +267,7 @@ def search_main(argv: list[str]) -> int:
                              "archive (repro benchmark build) instead of "
                              "the live surrogate; the search space is "
                              "taken from the archive")
-    parser.add_argument("--agents", type=int, default=2, metavar="N",
+    parser.add_argument("--agents", type=int, default=None, metavar="N",
                         help="PPO masters for --algorithm rl (default: 2)")
     parser.add_argument("--obs", action="store_true",
                         help="enable observability and print its summary "
@@ -313,9 +313,9 @@ def search_main(argv: list[str]) -> int:
                              "(deterministic mid-rung interrupt; resume "
                              "with --resume)")
     args = parser.parse_args(argv)
-    if args.nodes < 1:
+    if args.nodes is not None and args.nodes < 1:
         parser.error(f"--nodes must be >= 1, got {args.nodes}")
-    if args.wall <= 0:
+    if args.wall is not None and args.wall <= 0:
         parser.error(f"--wall must be positive, got {args.wall}")
     if args.workers is not None and args.workers < 0:
         parser.error(f"--workers must be >= 0, got {args.workers}")
@@ -374,6 +374,19 @@ def search_main(argv: list[str]) -> int:
         parser.error("--min-epochs/--eta/--brackets/--candidates/"
                      "--multiplier/--stop-after require --algorithm "
                      "sh or hyperband")
+    # A multi-fidelity campaign runs no simulated cluster: --stop-after
+    # bounds it and it checkpoints after every evaluation.
+    executor_flags = [flag for flag, value in (
+        ("--walltime", args.walltime),
+        ("--checkpoint-every", args.checkpoint_every),
+        ("--nodes", args.nodes), ("--wall", args.wall),
+        ("--agents", args.agents)) if value is not None]
+    if executor_flags and multifidelity:
+        parser.error(f"{'/'.join(executor_flags)} cannot be used with "
+                     "an sh or hyperband campaign")
+    nodes = 16 if args.nodes is None else args.nodes
+    wall = 3600.0 if args.wall is None else args.wall
+    agents = 2 if args.agents is None else args.agents
 
     if args.benchmark is not None:
         from repro.nas import BenchmarkEvaluator
@@ -418,7 +431,7 @@ def search_main(argv: list[str]) -> int:
         if args.resume is not None:
             print(f"resuming campaign from {args.resume}")
             algorithm, tracker = resume_search(
-                resume_state, space, evaluator, workers=args.workers,
+                args.resume, space, evaluator, workers=args.workers,
                 walltime=args.walltime, checkpoint=checkpoint)
         else:
             if args.algorithm == "ae":
@@ -430,17 +443,16 @@ def search_main(argv: list[str]) -> int:
                                           population_size=min(20, space.size),
                                           tournament_size=4)
             else:
-                alloc = rl_node_allocation(args.nodes, args.agents)
+                alloc = rl_node_allocation(nodes, agents)
                 algorithm = DistributedRL(
-                    space, rng=args.seed, n_agents=args.agents,
+                    space, rng=args.seed, n_agents=agents,
                     workers_per_agent=alloc.workers_per_agent)
-            partition = ThetaPartition(n_nodes=args.nodes,
-                                       wall_seconds=args.wall)
+            partition = ThetaPartition(n_nodes=nodes, wall_seconds=wall)
             mode = "in-loop" if args.workers is None else (
                 "serial backend" if args.workers == 0
                 else f"{args.workers}-worker pool")
-            print(f"search: {args.algorithm} on {args.nodes} simulated nodes, "
-                  f"{args.wall:g}s simulated wall, evaluation: {mode}")
+            print(f"search: {args.algorithm} on {nodes} simulated nodes, "
+                  f"{wall:g}s simulated wall, evaluation: {mode}")
             tracker = run_search(algorithm, evaluator, partition,
                                  rng=args.seed, workers=args.workers,
                                  walltime=args.walltime, checkpoint=checkpoint)

@@ -98,11 +98,7 @@ class SimulatedCESM:
 
     def field(self, t: int) -> np.ndarray:
         """CESM forecast field for week ``t`` on the NOAA grid (land NaN)."""
-        member = self._internal.field(t)
-        out = regrid_roundtrip(member + self.bias, self.regrid_factor,
-                               smooth_sigma=self.smooth_sigma)
-        out[~self.truth.ocean_mask] = np.nan
-        return out
+        return self.fields([t])[0]
 
     def fields(self, indices) -> np.ndarray:
         """Stack of forecasts, shape ``(len(indices), n_lat, n_lon)``."""

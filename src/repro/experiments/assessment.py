@@ -19,10 +19,15 @@ ASSESSMENT_START = _dt.date(2015, 4, 5)
 ASSESSMENT_END = _dt.date(2018, 6, 24)
 
 
-def assessment_indices(ctx: ReproductionContext) -> np.ndarray:
-    """Snapshot indices of the paper's HYCOM comparison window."""
+def assessment_indices(ctx: ReproductionContext,
+                       max_targets: int | None = None) -> np.ndarray:
+    """Snapshot indices of the paper's HYCOM comparison window, thinned
+    by one uniform stride to at most ``max_targets`` weeks if given."""
     cal = ctx.dataset.calendar
-    return np.asarray(cal.indices_between(ASSESSMENT_START, ASSESSMENT_END))
+    idx = np.asarray(cal.indices_between(ASSESSMENT_START, ASSESSMENT_END))
+    if max_targets is not None and idx.size > max_targets:
+        idx = idx[::int(np.ceil(idx.size / max_targets))]
+    return idx
 
 
 def podlstm_field_forecasts(ctx: ReproductionContext, horizon: int,

@@ -5,6 +5,8 @@ test snapshot matrix, a searched best architecture, the post-trained
 NAS-POD-LSTM emulator, and the comparator models. ``ReproductionContext``
 builds each once on first use and caches it; ``get_context`` memoizes
 contexts per preset so a pytest session shares them across benchmarks.
+Its :meth:`~ReproductionContext.campaigns` is the one scaling-study
+recipe that Table III and Figs. 3, 8 and 9 read.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ from repro.comparators import SimulatedCESM, SimulatedHYCOM
 from repro.data import SSTDataset, load_sst_dataset
 from repro.forecast import PODLSTMEmulator
 from repro.forecast.posttraining import posttrain_architecture
+from repro.hpc import ThetaPartition, rl_node_allocation, run_search
+from repro.hpc.tracking import SearchTracker
 from repro.nas import (
     AgingEvolution,
     ArchitecturePerformanceModel,
+    DistributedRL,
+    RandomSearch,
     StackedLSTMSpace,
     SurrogateEvaluator,
 )
+
 __all__ = ["ExperimentPreset", "ReproductionContext", "get_context"]
 
 
@@ -52,6 +59,15 @@ QUICK = ExperimentPreset(name="quick", posttrain_epochs=60,
 FULL = ExperimentPreset(name="full")
 
 _PRESETS = {"quick": QUICK, "full": FULL}
+
+#: The scaling studies' searchers, by name: (space, n_nodes, rng) -> algorithm.
+_SEARCHERS = {
+    "AE": lambda space, n_nodes, rng: AgingEvolution(space, rng=rng),
+    "RL": lambda space, n_nodes, rng: DistributedRL(
+        space, rng=rng,
+        workers_per_agent=rl_node_allocation(n_nodes).workers_per_agent),
+    "RS": lambda space, n_nodes, rng: RandomSearch(space, rng=rng),
+}
 
 
 class ReproductionContext:
@@ -103,17 +119,39 @@ class ReproductionContext:
         surrogate (the scale experiments exercise the full cluster; here
         we only need a good architecture for the science results)."""
         if self._best_architecture is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.preset.seed, 0xAE)))
-            search = AgingEvolution(self.space, rng=rng)
+            search = AgingEvolution(self.space,
+                                    rng=_stream((self.preset.seed, 0xAE)))
             evaluator = SurrogateEvaluator(self.space, self.performance_model)
-            eval_rng = np.random.default_rng(
-                np.random.SeedSequence((self.preset.seed, 0xEE)))
+            eval_rng = _stream((self.preset.seed, 0xEE))
             for _ in range(self.preset.search_evaluations):
                 arch = search.ask()
                 search.tell(arch, evaluator.evaluate(arch, eval_rng).reward)
             self._best_architecture = search.best_architecture
         return self._best_architecture
+
+    def campaigns(self, methods: tuple[str, ...], n_nodes: int,
+                  key: tuple[int, ...]) -> dict[str, SearchTracker]:
+        """One surrogate campaign per method on an ``n_nodes`` partition
+        of the preset's wall time, the recipe of Table III and Figs. 3, 8
+        and 9.
+
+        Method *i* (1-based, in ``methods`` order, names from ``AE``,
+        ``RL``, ``RS``) proposes from ``SeedSequence(key + (i,))``; every
+        run's cluster stream is ``SeedSequence(key + (len(methods) + 1,))``
+        and every run has a fresh evaluator over the shared performance
+        model.
+        """
+        partition = ThetaPartition(n_nodes=n_nodes,
+                                   wall_seconds=self.preset.wall_seconds)
+        cluster_seed = key + (len(methods) + 1,)
+        trackers: dict[str, SearchTracker] = {}
+        for i, name in enumerate(methods, start=1):
+            algorithm = _SEARCHERS[name](self.space, n_nodes,
+                                         _stream(key + (i,)))
+            evaluator = SurrogateEvaluator(self.space, self.performance_model)
+            trackers[name] = run_search(algorithm, evaluator, partition,
+                                        rng=_stream(cluster_seed))
+        return trackers
 
     def emulator(self) -> PODLSTMEmulator:
         """The post-trained NAS-POD-LSTM (paper Sec. IV-B)."""
@@ -138,6 +176,10 @@ class ReproductionContext:
         if self._hycom is None:
             self._hycom = SimulatedHYCOM(self.dataset.generator)
         return self._hycom
+
+
+def _stream(key: tuple[int, ...]) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 @lru_cache(maxsize=4)

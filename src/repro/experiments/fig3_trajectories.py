@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.context import ReproductionContext, get_context
+from repro.experiments.context import get_context
 from repro.experiments.reporting import format_series
-from repro.hpc import ThetaPartition, rl_node_allocation, run_search
 from repro.hpc.tracking import SearchTracker
-from repro.nas import AgingEvolution, DistributedRL, RandomSearch, SurrogateEvaluator
 
 __all__ = ["Fig3Result", "run_fig3", "main"]
 
@@ -36,35 +34,15 @@ class Fig3Result:
         return float(rewards[min(i, rewards.size - 1)])
 
 
-def _make_algorithms(ctx: ReproductionContext, n_nodes: int, seed: int):
-    space = ctx.space
-    wpa = rl_node_allocation(n_nodes).workers_per_agent
-    return {
-        "AE": AgingEvolution(space, rng=np.random.default_rng(
-            np.random.SeedSequence((seed, 1)))),
-        "RL": DistributedRL(space, rng=np.random.default_rng(
-            np.random.SeedSequence((seed, 2))), workers_per_agent=wpa),
-        "RS": RandomSearch(space, rng=np.random.default_rng(
-            np.random.SeedSequence((seed, 3)))),
-    }
-
-
 def run_fig3(preset: str = "quick", *, n_nodes: int = 128,
              seed: int = 7) -> Fig3Result:
     """Simulate the three searches and collect reward trajectories."""
-    ctx = get_context(preset)
-    partition = ThetaPartition(n_nodes=n_nodes,
-                               wall_seconds=ctx.preset.wall_seconds)
-    trajectories: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    trackers: dict[str, SearchTracker] = {}
-    for name, algorithm in _make_algorithms(ctx, n_nodes, seed).items():
-        evaluator = SurrogateEvaluator(ctx.space, ctx.performance_model)
-        tracker = run_search(algorithm, evaluator, partition,
-                             rng=np.random.default_rng(
-                                 np.random.SeedSequence((seed, 4))))
-        trajectories[name] = tracker.reward_trajectory(window=100)
-        trackers[name] = tracker
-    return Fig3Result(trajectories=trajectories, trackers=trackers)
+    trackers = get_context(preset).campaigns(("AE", "RL", "RS"), n_nodes,
+                                             (seed,))
+    return Fig3Result(
+        trajectories={name: tracker.reward_trajectory(window=100)
+                      for name, tracker in trackers.items()},
+        trackers=trackers)
 
 
 def main(preset: str = "quick") -> Fig3Result:

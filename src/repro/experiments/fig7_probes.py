@@ -34,10 +34,7 @@ class Fig7Result:
 def run_fig7(preset: str = "quick", *, horizon: int = 1,
              max_targets: int = 84) -> Fig7Result:
     ctx = get_context(preset)
-    targets = assessment_indices(ctx)
-    if targets.size > max_targets:
-        step = int(np.ceil(targets.size / max_targets))
-        targets = targets[::step]
+    targets = assessment_indices(ctx, max_targets)
     generator = ctx.dataset.generator
     stacks = {
         "NOAA (truth)": generator.fields(targets),

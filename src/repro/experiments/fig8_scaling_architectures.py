@@ -17,9 +17,7 @@ import numpy as np
 
 from repro.experiments.context import get_context
 from repro.experiments.reporting import format_table
-from repro.hpc import ThetaPartition, rl_node_allocation, run_search
 from repro.hpc.theta import PAPER_NODE_COUNTS
-from repro.nas import AgingEvolution, DistributedRL, RandomSearch, SurrogateEvaluator
 
 __all__ = ["Fig8Result", "run_fig8", "main"]
 
@@ -42,29 +40,12 @@ def run_fig8(preset: str = "quick", *,
     ae_curves: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     final_counts: dict[int, dict[str, int]] = {}
     for n_nodes in node_counts:
-        partition = ThetaPartition(n_nodes=n_nodes,
-                                   wall_seconds=ctx.preset.wall_seconds)
-        wpa = rl_node_allocation(n_nodes).workers_per_agent
-        methods = {
-            "AE": AgingEvolution(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, n_nodes, 1)))),
-            "RL": DistributedRL(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, n_nodes, 2))),
-                workers_per_agent=wpa),
-            "RS": RandomSearch(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, n_nodes, 3)))),
-        }
-        final_counts[n_nodes] = {}
-        for name, algorithm in methods.items():
-            evaluator = SurrogateEvaluator(ctx.space, ctx.performance_model)
-            tracker = run_search(algorithm, evaluator, partition,
-                                 rng=np.random.default_rng(
-                                     np.random.SeedSequence(
-                                         (seed, n_nodes, 4))))
-            final_counts[n_nodes][name] = \
-                tracker.n_unique_high_performers(threshold)
-            if name == "AE":
-                ae_curves[n_nodes] = tracker.unique_high_performers(threshold)
+        trackers = ctx.campaigns(("AE", "RL", "RS"), n_nodes,
+                                 (seed, n_nodes))
+        final_counts[n_nodes] = {
+            name: tracker.n_unique_high_performers(threshold)
+            for name, tracker in trackers.items()}
+        ae_curves[n_nodes] = trackers["AE"].unique_high_performers(threshold)
     return Fig8Result(ae_curves=ae_curves, final_counts=final_counts)
 
 

@@ -14,8 +14,6 @@ import numpy as np
 
 from repro.experiments.context import get_context
 from repro.experiments.reporting import describe_distribution
-from repro.hpc import ThetaPartition, rl_node_allocation, run_search
-from repro.nas import AgingEvolution, DistributedRL, SurrogateEvaluator
 
 __all__ = ["Fig9Result", "run_fig9", "main"]
 
@@ -37,25 +35,12 @@ class Fig9Result:
 def run_fig9(preset: str = "quick", *, n_nodes: int = 128,
              n_repetitions: int = 10, seed: int = 31) -> Fig9Result:
     ctx = get_context(preset)
-    partition = ThetaPartition(n_nodes=n_nodes,
-                               wall_seconds=ctx.preset.wall_seconds)
-    wpa = rl_node_allocation(n_nodes).workers_per_agent
     final_rewards = {"AE": [], "RL": []}
     utilizations = {"AE": [], "RL": []}
     n_evaluations = {"AE": [], "RL": []}
     for rep in range(n_repetitions):
-        methods = {
-            "AE": AgingEvolution(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, rep, 1)))),
-            "RL": DistributedRL(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, rep, 2))),
-                workers_per_agent=wpa),
-        }
-        for name, algorithm in methods.items():
-            evaluator = SurrogateEvaluator(ctx.space, ctx.performance_model)
-            tracker = run_search(algorithm, evaluator, partition,
-                                 rng=np.random.default_rng(
-                                     np.random.SeedSequence((seed, rep, 3))))
+        trackers = ctx.campaigns(("AE", "RL"), n_nodes, (seed, rep))
+        for name, tracker in trackers.items():
             _, rewards = tracker.reward_trajectory(window=100)
             final_rewards[name].append(float(rewards[-1]))
             utilizations[name].append(tracker.node_utilization())

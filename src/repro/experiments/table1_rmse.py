@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.comparators import regional_rmse
 from repro.data.grid import EASTERN_PACIFIC
 from repro.experiments.assessment import assessment_indices, podlstm_field_forecasts
@@ -49,10 +47,7 @@ def run_table1(preset: str = "quick", *, max_targets: int = 80,
     (RMSE is an average; subsampling changes estimates only marginally).
     """
     ctx = get_context(preset)
-    targets = assessment_indices(ctx)
-    if targets.size > max_targets:
-        step = int(np.ceil(targets.size / max_targets))
-        targets = targets[::step]
+    targets = assessment_indices(ctx, max_targets)
     generator = ctx.dataset.generator
     truth = generator.fields(targets)
     grid, mask = generator.grid, generator.ocean_mask

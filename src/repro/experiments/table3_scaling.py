@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.experiments.context import get_context
 from repro.experiments.reporting import format_table
-from repro.hpc import ThetaPartition, rl_node_allocation, run_search
 from repro.hpc.theta import PAPER_NODE_COUNTS
-from repro.nas import AgingEvolution, DistributedRL, RandomSearch, SurrogateEvaluator
 
 __all__ = ["Table3Result", "run_table3", "main", "PAPER_TABLE3"]
 
@@ -50,27 +46,11 @@ def run_table3(preset: str = "quick", *,
     ctx = get_context(preset)
     table: dict[int, dict[str, tuple[float, int]]] = {}
     for n_nodes in node_counts:
-        partition = ThetaPartition(n_nodes=n_nodes,
-                                   wall_seconds=ctx.preset.wall_seconds)
-        wpa = rl_node_allocation(n_nodes).workers_per_agent
-        methods = {
-            "AE": AgingEvolution(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, n_nodes, 1)))),
-            "RL": DistributedRL(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, n_nodes, 2))),
-                workers_per_agent=wpa),
-            "RS": RandomSearch(ctx.space, rng=np.random.default_rng(
-                np.random.SeedSequence((seed, n_nodes, 3)))),
-        }
-        table[n_nodes] = {}
-        for name, algorithm in methods.items():
-            evaluator = SurrogateEvaluator(ctx.space, ctx.performance_model)
-            tracker = run_search(algorithm, evaluator, partition,
-                                 rng=np.random.default_rng(
-                                     np.random.SeedSequence(
-                                         (seed, n_nodes, 4))))
-            table[n_nodes][name] = (tracker.node_utilization(),
-                                    tracker.n_evaluations)
+        trackers = ctx.campaigns(("AE", "RL", "RS"), n_nodes,
+                                 (seed, n_nodes))
+        table[n_nodes] = {name: (tracker.node_utilization(),
+                                 tracker.n_evaluations)
+                          for name, tracker in trackers.items()}
     return Table3Result(table=table)
 
 

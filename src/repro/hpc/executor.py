@@ -82,19 +82,21 @@ class _Campaign:
     """What both executors share: setup, checkpoint envelope, run.
 
     Built fresh from ``rng`` with ``n_streams`` node RNG streams, or from
-    a ``resume_state`` that must continue the same experiment. The resume
-    is checked before any backend exists; a backend built here from
-    ``workers`` is closed when the run ends or its setup raises, while a
-    ``backend=`` stays the caller's.
+    a ``resume_state`` (envelope already checked, read from ``source``)
+    that must continue the same experiment. The resume is checked before
+    any backend exists; a backend built here from ``workers`` is closed
+    when the run ends or its setup raises, while a ``backend=`` stays the
+    caller's.
     """
 
     def __init__(self, mode: str, algorithm: SearchAlgorithm,
                  evaluator: Evaluator, partition: ThetaPartition,
-                 n_streams: int, *, cluster: ClusterConfig | None, rng,
-                 backend: EvaluationBackend | None, workers: int | None,
-                 walltime: float | None,
-                 checkpoint: CheckpointPolicy | None,
-                 resume_state: dict | None) -> None:
+                 n_streams: int, source, *,
+                 cluster: ClusterConfig | None = None, rng=None,
+                 backend: EvaluationBackend | None = None,
+                 workers: int | None = None, walltime: float | None = None,
+                 checkpoint: CheckpointPolicy | None = None,
+                 resume_state: dict | None = None) -> None:
         if backend is not None and workers is not None:
             raise ValueError("pass either backend= or workers=, not both")
         if walltime is not None and walltime <= 0:
@@ -119,7 +121,7 @@ class _Campaign:
                 # node streams are its first children) — no collisions.
                 self.task_root = as_seed_sequence(gen).spawn(1)[0]
         else:
-            self._check_resume(uses_backend)
+            self._check_resume(source, uses_backend)
             self.tracker = SearchTracker.from_state(resume_state["tracker"])
             self.queue.now = float(resume_state["now"])
             self.node_rngs = [generator_from_state(s)
@@ -142,7 +144,7 @@ class _Campaign:
                 self.close()
                 raise
 
-    def _check_resume(self, uses_backend: bool) -> None:
+    def _check_resume(self, source, uses_backend: bool) -> None:
         """Refuse a resume that would continue a different campaign.
 
         Evaluators that represent external state — e.g. a
@@ -153,10 +155,7 @@ class _Campaign:
         record ``None`` and skip that check, exactly as all pre-existing
         checkpoints do.
         """
-        state, source = self.resume_state, "resume_state"
-        check_envelope(state, source, fmt=CAMPAIGN_FORMAT,
-                       versions=(CHECKPOINT_VERSION,),
-                       describe="a campaign checkpoint")
+        state = self.resume_state
         check_identity(source, "mode", state.get("mode"), self.mode)
         saved = state["partition"]
         check_identity(source, "partition (nodes, wall seconds)",
@@ -379,14 +378,22 @@ def run_asynchronous_search(algorithm: SearchAlgorithm, evaluator: Evaluator,
     passing it directly. ``rng`` is ignored on resume (every stream
     continues from its checkpointed position).
     """
+    return _asynchronous(
+        algorithm, evaluator, partition, "resume_state", cluster=cluster,
+        rng=rng, backend=backend, workers=workers, walltime=walltime,
+        checkpoint=checkpoint,
+        resume_state=_envelope(resume_state, "resume_state"))
+
+
+def _asynchronous(algorithm: SearchAlgorithm, evaluator: Evaluator,
+                  partition: ThetaPartition, source,
+                  **campaign) -> SearchTracker:
     if not algorithm.asynchronous:
         raise ValueError(
             f"{type(algorithm).__name__} is synchronous; use "
             "run_synchronous_rl_search")
-    campaign = _Campaign(
-        "asynchronous", algorithm, evaluator, partition, partition.n_nodes,
-        cluster=cluster, rng=rng, backend=backend, workers=workers,
-        walltime=walltime, checkpoint=checkpoint, resume_state=resume_state)
+    campaign = _Campaign("asynchronous", algorithm, evaluator, partition,
+                         partition.n_nodes, source, **campaign)
     nodes = _AsyncNodes(campaign)
     return campaign.run("hpc/run_asynchronous_search", nodes.start,
                         nodes.payload)
@@ -414,6 +421,16 @@ def run_synchronous_rl_search(algorithm: DistributedRL, evaluator: Evaluator,
     re-runs the partial round — deterministically identical to the
     uninterrupted continuation.
     """
+    return _synchronous_rl(
+        algorithm, evaluator, partition, "resume_state", cluster=cluster,
+        rng=rng, backend=backend, workers=workers, walltime=walltime,
+        checkpoint=checkpoint,
+        resume_state=_envelope(resume_state, "resume_state"))
+
+
+def _synchronous_rl(algorithm: DistributedRL, evaluator: Evaluator,
+                    partition: ThetaPartition, source,
+                    **campaign) -> SearchTracker:
     if algorithm.asynchronous:
         raise ValueError("expected a synchronous (DistributedRL) algorithm")
     alloc = rl_node_allocation(partition.n_nodes, algorithm.n_agents)
@@ -422,10 +439,8 @@ def run_synchronous_rl_search(algorithm: DistributedRL, evaluator: Evaluator,
             f"algorithm configured for {algorithm.workers_per_agent} "
             f"workers/agent but {partition.n_nodes} nodes allocate "
             f"{alloc.workers_per_agent}")
-    c = _Campaign(
-        "synchronous_rl", algorithm, evaluator, partition, alloc.n_workers,
-        cluster=cluster, rng=rng, backend=backend, workers=workers,
-        walltime=walltime, checkpoint=checkpoint, resume_state=resume_state)
+    c = _Campaign("synchronous_rl", algorithm, evaluator, partition,
+                  alloc.n_workers, source, **campaign)
     queue, tracker, rngs, feed = c.queue, c.tracker, c.node_rngs, c.feed
     wpa = alloc.workers_per_agent
     # Worker w trains archs[w] on node n_agents + w. The index is
@@ -538,11 +553,12 @@ def resume_search(source, space, evaluator: Evaluator, *,
     A checkpoint written in backend mode defaults to the in-process
     serial backend on resume (bitwise identical to any pool size); one
     written with in-loop evaluation must be resumed without ``workers``.
+    Every refusal names the file (``resume_state`` for a dict).
     """
     state = source if isinstance(source, dict) else read_json(source)
-    check_envelope(state, "resume_state" if state is source else source,
-                   fmt=CAMPAIGN_FORMAT, versions=(CHECKPOINT_VERSION,),
-                   describe="a campaign checkpoint")
+    if state is source:
+        source = "resume_state"
+    _envelope(state, source)
     algorithm = restore_search(state["algorithm"], space)
     partition = ThetaPartition(
         n_nodes=int(state["partition"]["n_nodes"]),
@@ -551,8 +567,18 @@ def resume_search(source, space, evaluator: Evaluator, *,
         cluster = ClusterConfig(**state["cluster"])
     if state.get("uses_backend") and backend is None and workers is None:
         workers = 0
-    tracker = run_search(algorithm, evaluator, partition, cluster=cluster,
-                         backend=backend, workers=workers,
-                         walltime=walltime, checkpoint=checkpoint,
-                         resume_state=state)
+    run = _asynchronous if algorithm.asynchronous else _synchronous_rl
+    tracker = run(algorithm, evaluator, partition, source, cluster=cluster,
+                  backend=backend, workers=workers, walltime=walltime,
+                  checkpoint=checkpoint, resume_state=state)
     return algorithm, tracker
+
+
+def _envelope(state: dict | None, source) -> dict | None:
+    """Refuse a ``state`` that is not a campaign checkpoint, naming
+    ``source``, before anything reads it; returns ``state``."""
+    if state is not None:
+        check_envelope(state, source, fmt=CAMPAIGN_FORMAT,
+                       versions=(CHECKPOINT_VERSION,),
+                       describe="a campaign checkpoint")
+    return state

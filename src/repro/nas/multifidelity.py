@@ -224,10 +224,8 @@ def _check_envelope(state: dict, source) -> None:
                    describe="a multi-fidelity campaign checkpoint")
 
 
-def _check_resume(state: dict, scheduler, evaluator: Evaluator,
+def _check_resume(state: dict, source, scheduler, evaluator: Evaluator,
                   seed: int) -> None:
-    source = "resume_state"
-    _check_envelope(state, source)
     check_identity(source, "scheduler (--eta/--min-epochs/--brackets)",
                    state["scheduler"], scheduler.config())
     check_identity(source, "seed", int(state["seed"]), int(seed))
@@ -269,13 +267,28 @@ def run_multifidelity_campaign(scheduler, evaluator: Evaluator, *,
     ``epochs_incremental`` is the budget a scheduler charges when each
     promotion pays only the delta over the candidate's previous rung.
     """
+    if resume_state is not None:
+        _check_envelope(resume_state, "resume_state")
+    return _run_campaign(
+        scheduler, evaluator, "resume_state", seed=seed, workers=workers,
+        checkpoint=checkpoint,
+        stop_after_evaluations=stop_after_evaluations,
+        resume_state=resume_state)
+
+
+def _run_campaign(scheduler, evaluator: Evaluator, source, *, seed: int,
+                  workers: int | None, checkpoint,
+                  stop_after_evaluations: int | None,
+                  resume_state: dict | None) -> dict:
+    """:func:`run_multifidelity_campaign` on a ``resume_state`` whose
+    envelope was checked; its identity refusals name ``source``."""
     from repro.hpc.parallel import evaluation_backend
 
     if stop_after_evaluations is not None and stop_after_evaluations < 1:
         raise ValueError(f"stop_after_evaluations must be >= 1, "
                          f"got {stop_after_evaluations}")
     if resume_state is not None:
-        _check_resume(resume_state, scheduler, evaluator, seed)
+        _check_resume(resume_state, source, scheduler, evaluator, seed)
 
     brackets = scheduler.brackets()
     space = evaluator.space
@@ -449,14 +462,16 @@ def resume_multifidelity_campaign(source, evaluator: Evaluator, *,
     The scheduler is rebuilt from the checkpoint unless one is passed
     explicitly — in which case its config must match (mismatched
     ``--eta``/``--min-epochs`` refuse with a "different experiment"
-    diagnosis, exactly like the executor campaign checkpoints).
+    diagnosis, exactly like the executor campaign checkpoints). Every
+    refusal names the file (``resume_state`` for a dict).
     """
     state = source if isinstance(source, dict) else read_json(source)
-    _check_envelope(state, "resume_state" if state is source else source)
+    if state is source:
+        source = "resume_state"
+    _check_envelope(state, source)
     if scheduler is None:
         scheduler = scheduler_from_config(state["scheduler"])
-    return run_multifidelity_campaign(
-        scheduler, evaluator, seed=int(state["seed"]), workers=workers,
-        checkpoint=checkpoint,
-        stop_after_evaluations=stop_after_evaluations,
-        resume_state=state)
+    return _run_campaign(
+        scheduler, evaluator, source, seed=int(state["seed"]),
+        workers=workers, checkpoint=checkpoint,
+        stop_after_evaluations=stop_after_evaluations, resume_state=state)

@@ -5,17 +5,19 @@ Pawar et al. (PAPERS.md) search a geophysical surrogate's architecture
 module extends a :class:`~repro.nas.space.search_space.StackedLSTMSpace`
 encoding with three trailing hyperparameter genes — learning rate,
 input window length, and POD rank — each an index into a small discrete
-grid, so the joint space keeps the same mixed-radix integer-tuple
-protocol (``cardinalities`` / ``validate`` / ``random_architecture`` /
-``mutate`` / ``index_of``) every searcher already speaks.
+grid. The joint space inherits the architecture genome
+(:class:`~repro.nas.space.search_space.MixedRadixSpace`: ``validate`` /
+``random_architecture`` / ``mutate`` / ``index_of`` / ``from_index``)
+and defines only its ``cardinalities``, so every searcher runs on it
+unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.nas.space.search_space import Architecture, StackedLSTMSpace
-from repro.utils.rng import as_generator
+from repro.nas.space.search_space import Architecture, MixedRadixSpace, \
+    StackedLSTMSpace
 
 __all__ = ["Hyperparameters", "HyperparameterGrid", "JointArchitectureSpace"]
 
@@ -83,13 +85,13 @@ class HyperparameterGrid:
                 f"ranks={len(self.pod_ranks)})")
 
 
-class JointArchitectureSpace:
+class JointArchitectureSpace(MixedRadixSpace):
     """A stacked-LSTM space with three hyperparameter genes appended.
 
-    The encoding is ``arch_genes + (lr_index, window_index, rank_index)``;
-    everything a searcher needs (:attr:`cardinalities`, :meth:`validate`,
-    :meth:`random_architecture`, :meth:`mutate`, mixed-radix ranking)
-    mirrors :class:`~repro.nas.space.search_space.StackedLSTMSpace`, so
+    The encoding is ``arch_genes + (lr_index, window_index, rank_index)``.
+    Sampling, mutation (hyperparameter genes mutate too) and the
+    mixed-radix rank are the architecture space's, over the extended
+    :attr:`cardinalities`, so
     :class:`~repro.nas.algorithms.genetic.GeneticSearch` (and in fact any
     existing searcher) runs on it unchanged.
     """
@@ -101,9 +103,6 @@ class JointArchitectureSpace:
         self.arch_space = arch_space
         self.grid = grid if grid is not None else HyperparameterGrid()
 
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
     @property
     def cardinalities(self) -> tuple[int, ...]:
         return self.arch_space.cardinalities + self.grid.cardinalities
@@ -112,75 +111,12 @@ class JointArchitectureSpace:
     def n_variable_nodes(self) -> int:
         return self.arch_space.n_variable_nodes + self.N_HYPER
 
-    @property
-    def size(self) -> int:
-        total = 1
-        for c in self.cardinalities:
-            total *= c
-        return total
-
-    # ------------------------------------------------------------------
-    # Encoding
-    # ------------------------------------------------------------------
-    def validate(self, encoding) -> tuple[int, ...]:
-        encoding = tuple(int(v) for v in encoding)
-        cards = self.cardinalities
-        if len(encoding) != len(cards):
-            raise ValueError(
-                f"joint encoding length {len(encoding)} != expected "
-                f"{len(cards)} (architecture {len(self.arch_space.cardinalities)}"
-                f" + {self.N_HYPER} hyperparameter genes)")
-        for pos, (value, card) in enumerate(zip(encoding, cards)):
-            if not 0 <= value < card:
-                raise ValueError(
-                    f"position {pos}: value {value} out of range [0, {card})")
-        return encoding
-
     def split(self, encoding) -> tuple[Architecture, Hyperparameters]:
         """Decompose a joint encoding into (architecture, hyperparameters)."""
         encoding = self.validate(encoding)
         return (encoding[:-self.N_HYPER],
                 self.grid.decode(encoding[-self.N_HYPER:]))
 
-    def index_of(self, encoding) -> int:
-        encoding = self.validate(encoding)
-        rank = 0
-        for value, card in zip(encoding, self.cardinalities):
-            rank = rank * card + value
-        return rank
-
-    def from_index(self, rank: int):
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range [0, {self.size})")
-        values = []
-        for card in reversed(self.cardinalities):
-            values.append(rank % card)
-            rank //= card
-        return tuple(reversed(values))
-
-    # ------------------------------------------------------------------
-    # Sampling and mutation
-    # ------------------------------------------------------------------
-    def random_architecture(self, rng=None):
-        gen = as_generator(rng)
-        return tuple(int(gen.integers(card)) for card in self.cardinalities)
-
-    def mutate(self, encoding, rng=None):
-        """Re-draw one uniformly chosen gene to a different value —
-        the same single-node mutation the architecture space uses, over
-        the extended encoding (hyperparameter genes mutate too)."""
-        encoding = self.validate(encoding)
-        gen = as_generator(rng)
-        pos = int(gen.integers(len(encoding)))
-        card = self.cardinalities[pos]
-        offset = int(gen.integers(1, card))
-        child = list(encoding)
-        child[pos] = (encoding[pos] + offset) % card
-        return tuple(child)
-
-    # ------------------------------------------------------------------
-    # Derived structure
-    # ------------------------------------------------------------------
     def count_parameters(self, encoding) -> int:
         """Parameter count of the realized network (hyperparameter genes
         do not change the architecture's weight count)."""

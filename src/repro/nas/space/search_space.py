@@ -14,25 +14,97 @@ An architecture is a fixed-length sequence of integers — one entry per
   7^5 * 2^9 = 8,605,184 matches the paper exactly.
 
 Mutation (used by aging evolution) follows the paper: sample one variable
-node uniformly, then choose a different value for it uniformly.
+node uniformly, then choose a different value for it uniformly. That
+genome protocol (sampling, mutation, the mixed-radix rank) lives in
+:class:`MixedRadixSpace`, which the joint architecture + hyperparameter
+space inherits too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.nas.space.ops import Operation, default_operations
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_int
 
-__all__ = ["Architecture", "StackedLSTMSpace"]
+__all__ = ["Architecture", "MixedRadixSpace", "StackedLSTMSpace"]
 
 
 #: An architecture encoding — tuple of ints, hashable so populations and
 #: uniqueness counters can use it as a dict/set key.
 Architecture = tuple
+
+
+class MixedRadixSpace:
+    """The genome every searcher speaks: one integer per variable node.
+
+    Node ``i`` takes a value in ``[0, cardinalities[i])``; subclasses
+    define :attr:`cardinalities`. Sampling, AE's mutation and the
+    mixed-radix rank are written here once, so a space that extends the
+    encoding (:class:`~repro.nas.space.joint.JointArchitectureSpace`)
+    draws exactly as the stacked space does.
+    """
+
+    @property
+    def cardinalities(self) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    @property
+    def size(self) -> int:
+        """Total number of encodable architectures."""
+        return math.prod(self.cardinalities)
+
+    def validate(self, arch: Architecture) -> tuple[int, ...]:
+        """Check an encoding and return it as a canonical tuple of ints."""
+        arch = tuple(int(v) for v in arch)
+        cards = self.cardinalities
+        if len(arch) != len(cards):
+            raise ValueError(
+                f"architecture length {len(arch)} != expected {len(cards)}")
+        for pos, (value, card) in enumerate(zip(arch, cards)):
+            if not 0 <= value < card:
+                raise ValueError(
+                    f"position {pos}: value {value} out of range [0, {card})")
+        return arch
+
+    def index_of(self, arch: Architecture) -> int:
+        """Mixed-radix rank of an encoding in [0, size) — handy for
+        uniqueness bookkeeping and hashing-free storage."""
+        arch = self.validate(arch)
+        rank = 0
+        for value, card in zip(arch, self.cardinalities):
+            rank = rank * card + value
+        return rank
+
+    def from_index(self, rank: int) -> Architecture:
+        """Inverse of :meth:`index_of`."""
+        if not 0 <= rank < self.size:
+            raise ValueError(f"rank {rank} out of range [0, {self.size})")
+        values = []
+        for card in reversed(self.cardinalities):
+            values.append(rank % card)
+            rank //= card
+        return tuple(reversed(values))
+
+    def random_architecture(self, rng=None) -> Architecture:
+        """Uniform sample over the whole space."""
+        gen = as_generator(rng)
+        return tuple(int(gen.integers(card)) for card in self.cardinalities)
+
+    def mutate(self, arch: Architecture, rng=None) -> Architecture:
+        """AE's mutation: re-draw one uniformly chosen variable node to a
+        *different* value (paper Sec. III-B1)."""
+        arch = self.validate(arch)
+        gen = as_generator(rng)
+        pos = int(gen.integers(len(arch)))
+        card = self.cardinalities[pos]
+        # Choose uniformly among the other card-1 values.
+        offset = int(gen.integers(1, card))
+        child = list(arch)
+        child[pos] = (arch[pos] + offset) % card
+        return tuple(child)
 
 
 @dataclass(frozen=True)
@@ -45,7 +117,7 @@ class _SkipSlot:
     source: int
 
 
-class StackedLSTMSpace:
+class StackedLSTMSpace(MixedRadixSpace):
     """Search space over stacked LSTM DAGs.
 
     Parameters
@@ -114,30 +186,9 @@ class StackedLSTMSpace:
         (layer ops first, then skip bits)."""
         return (len(self.operations),) * self.n_layers + (2,) * self.n_skip_nodes
 
-    @property
-    def size(self) -> int:
-        """Total number of encodable architectures."""
-        total = 1
-        for c in self.cardinalities:
-            total *= c
-        return total
-
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def validate(self, arch: Architecture) -> tuple[int, ...]:
-        """Check an encoding and return it as a canonical tuple of ints."""
-        arch = tuple(int(v) for v in arch)
-        cards = self.cardinalities
-        if len(arch) != len(cards):
-            raise ValueError(
-                f"architecture length {len(arch)} != expected {len(cards)}")
-        for pos, (value, card) in enumerate(zip(arch, cards)):
-            if not 0 <= value < card:
-                raise ValueError(
-                    f"position {pos}: value {value} out of range [0, {card})")
-        return arch
-
     def layer_ops(self, arch: Architecture) -> tuple[Operation, ...]:
         """The operation chosen at each LSTM variable node."""
         arch = self.validate(arch)
@@ -148,47 +199,6 @@ class StackedLSTMSpace:
         arch = self.validate(arch)
         bits = arch[self.n_layers:]
         return tuple(slot for slot, bit in zip(self._skip_slots, bits) if bit)
-
-    def index_of(self, arch: Architecture) -> int:
-        """Mixed-radix rank of an encoding in [0, size) — handy for
-        uniqueness bookkeeping and hashing-free storage."""
-        arch = self.validate(arch)
-        rank = 0
-        for value, card in zip(arch, self.cardinalities):
-            rank = rank * card + value
-        return rank
-
-    def from_index(self, rank: int) -> Architecture:
-        """Inverse of :meth:`index_of`."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range [0, {self.size})")
-        values = []
-        for card in reversed(self.cardinalities):
-            values.append(rank % card)
-            rank //= card
-        return tuple(reversed(values))
-
-    # ------------------------------------------------------------------
-    # Sampling and mutation
-    # ------------------------------------------------------------------
-    def random_architecture(self, rng=None) -> Architecture:
-        """Uniform sample over the whole space."""
-        gen = as_generator(rng)
-        return tuple(int(gen.integers(card)) for card in self.cardinalities)
-
-    def mutate(self, arch: Architecture, rng=None) -> Architecture:
-        """AE's mutation: re-draw one uniformly chosen variable node to a
-        *different* value (paper Sec. III-B1)."""
-        arch = self.validate(arch)
-        gen = as_generator(rng)
-        pos = int(gen.integers(len(arch)))
-        card = self.cardinalities[pos]
-        # Choose uniformly among the other card-1 values.
-        offset = int(gen.integers(1, card))
-        new_value = (arch[pos] + offset) % card
-        child = list(arch)
-        child[pos] = new_value
-        return tuple(child)
 
     # ------------------------------------------------------------------
     # Derived structure

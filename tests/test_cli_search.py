@@ -131,3 +131,88 @@ class TestCampaignCLI:
         argv = [arg.format(tmp=tmp_path) for arg in resume_with]
         assert _exit_code(["search", "--resume", ckpt, *argv]) == 2
         assert "different experiment" in capsys.readouterr().err
+
+
+class TestResumeRefusalNamesFile:
+    """A refused --resume names the file it was given, never an internal
+    variable, and exits 2."""
+
+    def _refused(self, capsys, argv) -> str:
+        assert _exit_code(["search", *argv]) == 2
+        return capsys.readouterr().err
+
+    def test_evaluation_mode(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "campaign.json")
+        code, _ = _search(capsys, "--algorithm", "ae", "--walltime", "250",
+                          "--checkpoint", ckpt)
+        assert code == 0
+        err = self._refused(capsys, ["--resume", ckpt, "--workers", "2"])
+        assert err.startswith(
+            f"error: {ckpt}: saved evaluation mode (--workers) 'in-loop' "
+            "differs from the current 'backend'; refusing to resume a "
+            "different experiment")
+
+    def test_multifidelity_scheduler(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "mf.json")
+        assert main(["search", "--algorithm", "sh", "--candidates", "4",
+                     "--stop-after", "2", "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+        err = self._refused(capsys, ["--resume", ckpt, "--eta", "3"])
+        assert err.startswith(
+            f"error: {ckpt}: saved scheduler (--eta/--min-epochs/"
+            "--brackets) ")
+        assert "refusing to resume a different experiment" in err
+
+    def test_search_checkpoint_is_not_a_campaign(self, capsys, tmp_path):
+        from repro.nas import AgingEvolution, StackedLSTMSpace, save_search
+        path = str(tmp_path / "search.json")
+        save_search(AgingEvolution(StackedLSTMSpace(), rng=0), path)
+        err = self._refused(capsys, ["--resume", path])
+        assert err.startswith(
+            f"error: {path}: not a campaign checkpoint (format "
+            "'repro-search-checkpoint')")
+
+
+class TestMultiFidelityIgnoredFlags:
+    """sh/hyperband bound a campaign by --stop-after and checkpoint after
+    every evaluation, so the executor-only flags are usage errors."""
+
+    EXECUTOR_FLAGS = [["--walltime", "1"], ["--checkpoint-every", "5"],
+                      ["--nodes", "3"], ["--wall", "7"], ["--agents", "9"]]
+
+    @pytest.mark.parametrize("algorithm", ["sh", "hyperband"])
+    @pytest.mark.parametrize("flag", EXECUTOR_FLAGS,
+                             ids=lambda flag: flag[0])
+    def test_refused_with_algorithm(self, capsys, tmp_path, algorithm,
+                                    flag):
+        ckpt = tmp_path / "sh.json"
+        assert _exit_code(["search", "--algorithm", algorithm,
+                           "--checkpoint", str(ckpt), *flag]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert flag[0] in captured.err
+        assert "completed:" not in captured.out
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flag", EXECUTOR_FLAGS,
+                             ids=lambda flag: flag[0])
+    def test_refused_on_multifidelity_resume(self, capsys, tmp_path, flag):
+        ckpt = tmp_path / "mf.json"
+        assert main(["search", "--algorithm", "sh", "--candidates", "4",
+                     "--stop-after", "2", "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        saved = ckpt.read_bytes()
+        assert _exit_code(["search", "--resume", str(ckpt),
+                           "--checkpoint", str(ckpt), *flag]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert flag[0] in captured.err
+        assert "completed:" not in captured.out
+        assert ckpt.read_bytes() == saved
+
+    def test_executor_defaults_unchanged(self, capsys):
+        code, out = main(["search", "--algorithm", "rl"]), \
+            capsys.readouterr().out
+        assert code == 0
+        assert "search: rl on 16 simulated nodes, 3600s simulated wall" \
+            in out

@@ -68,6 +68,12 @@ class TestSimulatedCESM:
         assert field.shape == generator.grid.shape
         assert np.isnan(field[~generator.ocean_mask]).all()
 
+    def test_field_is_a_row_of_fields(self, generator):
+        """One week and a stack of weeks give the same bits."""
+        stack = SimulatedCESM(generator).fields([3, 100, 9])
+        np.testing.assert_array_equal(SimulatedCESM(generator).field(100),
+                                      stack[1])
+
     def test_climatology_tracked(self, generator):
         """CESM follows the seasonal cycle: correlation with truth over a
         year is high at a strongly seasonal point."""

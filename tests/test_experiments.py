@@ -5,6 +5,9 @@ tiny budgets, asserting structural correctness and the coarse orderings
 (full-shape assertions live in the benchmarks).
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -139,3 +142,78 @@ class TestScienceExperiments:
             assert set(per_probe) == set(PROBES)
         for probe in PROBES:
             assert result.rmse["NOAA (truth)"][probe] == 0.0
+
+
+def _digest(value) -> str:
+    """sha256 of ``value`` as sorted-key JSON: arrays carry their dtype
+    and shape, trackers their ``state_dict()``, floats their exact repr."""
+    def jsonable(obj):
+        if isinstance(obj, np.ndarray):
+            return [str(obj.dtype), list(obj.shape), obj.tolist()]
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if hasattr(obj, "state_dict"):
+            return obj.state_dict()
+        raise TypeError(f"cannot digest {type(obj).__name__}")
+    text = json.dumps(value, sort_keys=True, default=jsonable)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: run_fig3(n_nodes=24, seed=1): evaluations per method and the digest
+#: of the trackers and moving-average trajectories.
+RECORDED_FIG3 = (
+    {"AE": 99, "RL": 37, "RS": 101},
+    "bc7462cb62438d50e29e0ac02d77c016ec69096e32e1ddee881def54ffa7764a")
+#: run_table3(node_counts=(24, 48), seed=1): the utilization and
+#: evaluation table.
+RECORDED_TABLE3 = \
+    "4fefa9cb8852682660164d65572bc2c2dc31025252cb14c95c1885a449a1a62a"
+#: run_fig8(node_counts=(24, 48), seed=1, threshold=0.94): the AE
+#: unique-high-performer curves and every method's final count.
+RECORDED_FIG8 = \
+    "2267d00d60c48f1da672643e816384f2c038c66e3ebc2a5b7b2ef6a71489ecfe"
+#: run_fig9(n_nodes=24, n_repetitions=3, seed=1): the per-repetition
+#: final rewards, utilizations and evaluation counts.
+RECORDED_FIG9 = \
+    "541e0297bb8363698c78b3a6f7c6b2fd6b51f3edcea7f4aeadd5f3f0b4f0297c"
+
+
+class TestRecordedOutput:
+    """The search drivers' results at the mini preset, pinned bit for bit
+    (each campaign's seeds, partition and evaluator are part of the
+    result)."""
+
+    def test_fig3_digest(self, mini_ctx, monkeypatch):
+        from repro.experiments import fig3_trajectories as f3
+        monkeypatch.setattr(f3, "get_context", lambda preset: mini_ctx)
+        result = f3.run_fig3("mini", n_nodes=24, seed=1)
+        assert list(result.trackers) == ["AE", "RL", "RS"]
+        assert {name: t.n_evaluations
+                for name, t in result.trackers.items()} == RECORDED_FIG3[0]
+        assert _digest({"trackers": result.trackers,
+                        "trajectories": result.trajectories}) \
+            == RECORDED_FIG3[1]
+
+    def test_table3_digest(self, mini_ctx, monkeypatch):
+        from repro.experiments import table3_scaling as t3
+        monkeypatch.setattr(t3, "get_context", lambda preset: mini_ctx)
+        result = t3.run_table3("mini", node_counts=(24, 48), seed=1)
+        assert _digest(result.table) == RECORDED_TABLE3
+
+    def test_fig8_digest(self, mini_ctx, monkeypatch):
+        from repro.experiments import fig8_scaling_architectures as f8
+        monkeypatch.setattr(f8, "get_context", lambda preset: mini_ctx)
+        result = f8.run_fig8("mini", node_counts=(24, 48), seed=1,
+                             threshold=0.94)
+        assert _digest({"ae_curves": result.ae_curves,
+                        "final_counts": result.final_counts}) \
+            == RECORDED_FIG8
+
+    def test_fig9_digest(self, mini_ctx, monkeypatch):
+        from repro.experiments import fig9_variability as f9
+        monkeypatch.setattr(f9, "get_context", lambda preset: mini_ctx)
+        result = f9.run_fig9("mini", n_nodes=24, n_repetitions=3, seed=1)
+        assert _digest({"final_rewards": result.final_rewards,
+                        "utilizations": result.utilizations,
+                        "n_evaluations": result.n_evaluations}) \
+            == RECORDED_FIG9

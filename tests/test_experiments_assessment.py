@@ -31,6 +31,16 @@ class TestAssessmentWindow:
         assert idx.max() < mini_ctx.dataset.calendar.n_snapshots
         assert 160 <= idx.size <= 172
 
+    def test_max_targets_thins_by_one_stride(self, mini_ctx):
+        full = assessment_indices(mini_ctx)
+        for max_targets in (80, 84, 10):
+            idx = assessment_indices(mini_ctx, max_targets)
+            step = int(np.ceil(full.size / max_targets))
+            np.testing.assert_array_equal(idx, full[::step])
+            assert idx.size <= max_targets
+        np.testing.assert_array_equal(
+            assessment_indices(mini_ctx, full.size), full)
+
     def test_dates_round_trip(self, mini_ctx):
         idx = assessment_indices(mini_ctx)
         cal = mini_ctx.dataset.calendar

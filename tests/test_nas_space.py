@@ -1,12 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.nas.space import (
+    HyperparameterGrid,
+    JointArchitectureSpace,
     Operation,
     StackedLSTMSpace,
     build_network,
     default_operations,
     describe_architecture,
+    hybrid_operations,
 )
 
 
@@ -178,3 +184,66 @@ class TestConstructorValidation:
     def test_positive_layers(self):
         with pytest.raises(ValueError):
             StackedLSTMSpace(n_layers=0)
+
+
+def _recorded_spaces():
+    """The stacked and joint spaces whose genome streams are pinned."""
+    paper = StackedLSTMSpace()
+    hybrid = StackedLSTMSpace(n_layers=3, input_dim=3, output_dim=3,
+                              operations=hybrid_operations(),
+                              max_skip_depth=1)
+    return {
+        "paper": paper,
+        "hybrid": hybrid,
+        "joint-paper": JointArchitectureSpace(paper),
+        "joint-hybrid": JointArchitectureSpace(
+            hybrid, HyperparameterGrid(learning_rates=(1e-3, 1e-2),
+                                       windows=(6, 8),
+                                       pod_ranks=(3, 5, 7))),
+    }
+
+
+#: Per space: (size, sha256 of its fixed-seed genome streams).
+RECORDED_STREAMS = {
+    "hybrid": (
+        2916,
+        "c98d17cd99c0b1f08605303f50905e2cb6c7977fc5e0e184f87c2fb57118b134"),
+    "joint-hybrid": (
+        34992,
+        "67f4642d1da14700b495c7d0594cf7585e28c8bff55942c96455f049c2d9fd74"),
+    "joint-paper": (
+        1075648000,
+        "41dc2d1a98ba55c04163de2272fa2a76a60dd1066652c26648df2d9ff8a4c9c2"),
+    "paper": (
+        8605184,
+        "e5ab39000244f1d473f8c5b038f1cea248aba14965d75e00b2dc6603aa617023"),
+}
+
+
+def _genome_streams(space) -> str:
+    """Fixed-seed random draws, a mutation chain and rank round trips."""
+    gen = np.random.default_rng(2024)
+    draws = [space.random_architecture(gen) for _ in range(40)]
+    draws += [space.random_architecture(seed) for seed in range(5)]
+    chain = [draws[0]]
+    for _ in range(60):
+        chain.append(space.mutate(chain[-1], gen))
+    chain += [space.mutate(draws[1], seed) for seed in range(5)]
+    ranks = [space.index_of(arch) for arch in draws + chain]
+    assert [space.from_index(r) for r in ranks] == draws + chain
+    fixed = [space.from_index(r) for r in
+             (0, 1, space.size // 3, space.size // 2, space.size - 1)]
+    assert [space.validate(arch) for arch in fixed] == fixed
+    text = json.dumps([space.size, list(space.cardinalities), draws, chain,
+                       ranks, fixed])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestRecordedStreams:
+    """Both spaces draw, mutate and rank exactly as recorded."""
+
+    @pytest.mark.parametrize("name", sorted(_recorded_spaces()))
+    def test_genome_streams(self, name):
+        space = _recorded_spaces()[name]
+        assert (space.size, _genome_streams(space)) \
+            == RECORDED_STREAMS[name]
