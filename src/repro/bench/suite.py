@@ -10,6 +10,8 @@ Covers the four cost centres of the reproduction (ISSUE: the paths every
 * POD basis computation (method of snapshots) at archive-like shape;
 * synthesis of the 427-week SST training matrix on a fresh generator
   (the data layer under every paper-path workload);
+* Table I's forecast path: a fitted emulator's leads 1-8 in one call,
+  with the eight single-lead calls it replaces timed alongside;
 * a 10-evaluation random-search slice over the surrogate (ask /
   evaluate / tell machinery, the NAS outer loop);
 * a 200-evaluation RS campaign from a tabular benchmark archive
@@ -167,6 +169,57 @@ def _sst_synthesis_benchmark(quick: bool) -> Benchmark:
                   "measures": "SyntheticSST construction (patterns, "
                               "ENSO and weather series) plus the "
                               "training snapshot matrix"})
+
+
+def _forecast_leads_benchmark(quick: bool) -> Benchmark:
+    """Table I's forecast path: a fitted emulator forecasts leads 1-8 of
+    a test series in one call — one transform, one forward pass over
+    the windows' first eight steps and eight reconstructions.
+
+    ``make()`` also times the same leads as eight single-lead
+    ``forecast_fields`` calls, each of which transforms, windows and
+    predicts on its own; the median of three lands in the metadata as
+    ``eight_calls_s``. 4 degrees and the 1,487 test weeks are the
+    ``emulate`` workload's shape; the quick suite uses 9 degrees and 300
+    weeks."""
+    degrees, n_test = (9.0, 300) if quick else (4.0, 1487)
+    n_train, leads = 427, tuple(range(1, 9))
+
+    @contextmanager
+    def make():
+        import time as _time
+
+        from repro.data.grid import LatLonGrid
+        from repro.data.sst import SyntheticSST
+        from repro.forecast import PODLSTMEmulator
+        from repro.nn.training import Trainer
+        generator = SyntheticSST(grid=LatLonGrid(degrees=degrees), seed=0)
+        snapshots = generator.snapshots(np.arange(n_train + n_test))
+        emulator = PODLSTMEmulator(
+            n_modes=5, window=8,
+            trainer=Trainer(epochs=2, batch_size=64, learning_rate=0.002))
+        emulator.fit(snapshots[:, :n_train], rng=0)
+        test = snapshots[:, n_train:]
+        times = []
+        for _ in range(3):
+            t0 = _time.perf_counter()
+            for lead in leads:
+                emulator.forecast_fields(test, horizon=lead)
+            times.append(_time.perf_counter() - t0)
+        metadata["eight_calls_s"] = sorted(times)[1]
+
+        def run():
+            emulator.forecast_leads(test, leads)
+        yield run
+
+    metadata = {"degrees": degrees, "train_weeks": n_train,
+                "test_weeks": n_test, "leads": list(leads),
+                "network": "LSTM(80) + LSTM(5) head, 2 epochs",
+                "measures": "PODLSTMEmulator.forecast_leads over leads "
+                            "1-8 in one call; eight_calls_s is the same "
+                            "leads as eight single-lead forecast_fields "
+                            "calls"}
+    return Benchmark(name="forecast_leads", make=make, metadata=metadata)
 
 
 def _random_search_benchmark() -> Benchmark:
@@ -628,7 +681,7 @@ def _pipeline_cycle_benchmark() -> Benchmark:
 
 def default_suite(quick: bool = True, *,
                   max_workers: int = 4) -> list[Benchmark]:
-    """The BENCH_core.json suite (22 benchmarks quick, 25 full).
+    """The BENCH_core.json suite (23 benchmarks quick, 26 full).
 
     ``max_workers`` caps the pool sizes of the serial-vs-pool throughput
     benchmarks (``repro bench --workers``); 0 drops them entirely.
@@ -638,6 +691,7 @@ def default_suite(quick: bool = True, *,
     suite.append(_trainer_epoch_benchmark(quick))
     suite.append(_pod_basis_benchmark(quick))
     suite.append(_sst_synthesis_benchmark(quick))
+    suite.append(_forecast_leads_benchmark(quick))
     suite.append(_random_search_benchmark())
     suite.append(_nas_benchmark_campaign_benchmark())
     suite.append(_hyperband_campaign_benchmark())

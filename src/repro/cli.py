@@ -286,8 +286,9 @@ def search_main(argv: list[str]) -> int:
                              "(requires --checkpoint)")
     parser.add_argument("--resume", default=None, metavar="PATH",
                         help="continue a campaign from a checkpoint file; "
-                             "--algorithm/--nodes/--wall/--agents are "
-                             "taken from the file (pass the original "
+                             "the algorithm, partition and agents are "
+                             "taken from the file, so --nodes/--wall/"
+                             "--agents are refused (pass the original "
                              "--seed so the surrogate matches)")
     parser.add_argument("--min-epochs", type=int, default=None,
                         metavar="R", dest="min_epochs",
@@ -374,16 +375,23 @@ def search_main(argv: list[str]) -> int:
         parser.error("--min-epochs/--eta/--brackets/--candidates/"
                      "--multiplier/--stop-after require --algorithm "
                      "sh or hyperband")
+    cluster_flags = [flag for flag, value in (
+        ("--nodes", args.nodes), ("--wall", args.wall),
+        ("--agents", args.agents)) if value is not None]
     # A multi-fidelity campaign runs no simulated cluster: --stop-after
     # bounds it and it checkpoints after every evaluation.
     executor_flags = [flag for flag, value in (
         ("--walltime", args.walltime),
-        ("--checkpoint-every", args.checkpoint_every),
-        ("--nodes", args.nodes), ("--wall", args.wall),
-        ("--agents", args.agents)) if value is not None]
-    if executor_flags and multifidelity:
-        parser.error(f"{'/'.join(executor_flags)} cannot be used with "
-                     "an sh or hyperband campaign")
+        ("--checkpoint-every", args.checkpoint_every)) if value is not None]
+    if executor_flags + cluster_flags and multifidelity:
+        parser.error(f"{'/'.join(executor_flags + cluster_flags)} cannot "
+                     "be used with an sh or hyperband campaign")
+    # A resumed campaign runs on the partition and agents it was saved
+    # with.
+    if cluster_flags and resume_state is not None:
+        parser.error(f"{'/'.join(cluster_flags)} cannot be used with "
+                     f"--resume: {args.resume} fixes the partition and "
+                     "agents")
     nodes = 16 if args.nodes is None else args.nodes
     wall = 3600.0 if args.wall is None else args.wall
     agents = 2 if args.agents is None else args.agents

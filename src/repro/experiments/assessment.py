@@ -11,9 +11,10 @@ import datetime as _dt
 import numpy as np
 
 from repro.experiments.context import ReproductionContext
+from repro.utils.validation import check_positive_int
 
 __all__ = ["ASSESSMENT_START", "ASSESSMENT_END", "assessment_indices",
-           "podlstm_field_forecasts"]
+           "podlstm_field_forecasts", "podlstm_lead_forecasts"]
 
 ASSESSMENT_START = _dt.date(2015, 4, 5)
 ASSESSMENT_END = _dt.date(2018, 6, 24)
@@ -33,35 +34,42 @@ def assessment_indices(ctx: ReproductionContext,
 def podlstm_field_forecasts(ctx: ReproductionContext, horizon: int,
                             target_indices: np.ndarray
                             ) -> np.ndarray:
-    """Lead-``horizon`` POD-LSTM field forecasts for given target weeks.
+    """Lead-``horizon`` POD-LSTM field forecasts for given target weeks:
+    the one-lead case of :func:`podlstm_lead_forecasts`."""
+    return podlstm_lead_forecasts(ctx, (horizon,), target_indices)[horizon]
 
-    Returns a stack of shape ``(len(target_indices), n_lat, n_lon)`` with
-    NaN land, reconstructed through the POD basis.
+
+def podlstm_lead_forecasts(ctx: ReproductionContext, horizons,
+                           target_indices: np.ndarray
+                           ) -> dict[int, np.ndarray]:
+    """POD-LSTM field forecasts of the target weeks at every lead in
+    ``horizons``, from one read of the series and one forecast pass.
+
+    Returns ``{lead: stack}`` with stacks of shape
+    ``(len(target_indices), n_lat, n_lon)``, NaN land, reconstructed
+    through the POD basis.
     """
     emulator = ctx.emulator()
     window = emulator.pipeline.window
+    leads = sorted({check_positive_int(h, name="horizon") for h in horizons})
+    if not leads:
+        raise ValueError("no horizon given")
     # The window producing a lead-h forecast of target T starts at
-    # T - window - (h - 1); feed the emulator a series covering all of it.
-    first = int(target_indices.min()) - window - (horizon - 1)
-    # Windowing also extracts the actual output block, so the series must
-    # run `window - horizon` steps past the last target.
-    last = int(target_indices.max()) + window - horizon
+    # T - window - (h - 1); feed the emulator a series covering it for
+    # the largest lead. Windowing also extracts the actual output block,
+    # so the series runs `window - h` steps past the last target for the
+    # smallest lead.
+    first = int(target_indices.min()) - window - (leads[-1] - 1)
+    last = int(target_indices.max()) + window - leads[0]
     if first < 0:
         raise ValueError(
             f"target range requires snapshots before index 0 ({first})")
-    series_idx = np.arange(first, last + 1)
-    snaps = ctx.dataset.snapshots(series_idx)
-    times, fields = emulator.forecast_fields(snaps, horizon=horizon)
-    absolute = times + first
+    snaps = ctx.dataset.snapshots(np.arange(first, last + 1))
     generator = ctx.dataset.generator
-    out = np.empty((target_indices.size,) + generator.grid.shape)
-    lookup = {int(t): i for i, t in enumerate(absolute)}
-    for row, target in enumerate(target_indices):
-        try:
-            col = lookup[int(target)]
-        except KeyError:
-            raise ValueError(
-                f"no lead-{horizon} forecast available for index {target}"
-            ) from None
-        out[row] = generator.unflatten(fields[:, col])
-    return out
+    stacks = {}
+    for lead, (times, fields) in emulator.forecast_leads(snaps, leads).items():
+        # Forecast times are consecutive and cover every target.
+        columns = target_indices - (first + int(times[0]))
+        stacks[lead] = np.stack([generator.unflatten(fields[:, col])
+                                 for col in columns])
+    return stacks

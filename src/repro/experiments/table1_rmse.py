@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.comparators import regional_rmse
 from repro.data.grid import EASTERN_PACIFIC
-from repro.experiments.assessment import assessment_indices, podlstm_field_forecasts
+from repro.experiments.assessment import assessment_indices, podlstm_lead_forecasts
 from repro.experiments.context import get_context
 from repro.experiments.reporting import format_table
 
@@ -57,16 +57,18 @@ def run_table1(preset: str = "quick", *, max_targets: int = 80,
     hycom_fields = ctx.hycom.fields(targets)
     cesm_rmse = regional_rmse(truth, cesm_fields, grid, EASTERN_PACIFIC, mask)
     hycom_rmse = regional_rmse(truth, hycom_fields, grid, EASTERN_PACIFIC, mask)
-    for week in range(1, n_weeks + 1):
-        predicted = podlstm_field_forecasts(ctx, week, targets)
+    weeks = list(range(1, n_weeks + 1))
+    predicted = podlstm_lead_forecasts(ctx, weeks, targets)
+    for week in weeks:
         rmse["Predicted"].append(
-            regional_rmse(truth, predicted, grid, EASTERN_PACIFIC, mask))
+            regional_rmse(truth, predicted[week], grid, EASTERN_PACIFIC,
+                          mask))
         # CESM never initializes from the window and HYCOM re-initializes
         # each week, so their errors are lead-independent by construction
         # (the paper's rows are flat); reuse the single computed value.
         rmse["CESM"].append(cesm_rmse)
         rmse["HYCOM"].append(hycom_rmse)
-    return Table1Result(weeks=list(range(1, n_weeks + 1)), rmse=rmse)
+    return Table1Result(weeks=weeks, rmse=rmse)
 
 
 def main(preset: str = "quick") -> Table1Result:

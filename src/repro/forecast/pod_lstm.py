@@ -6,6 +6,7 @@ Workflow::
     history = emulator.fit(train_snapshots, network=my_network, rng=0)
     r2 = emulator.score(test_snapshots)              # Table II metric
     fields = emulator.forecast_fields(test_snapshots, horizon=1)
+    by_lead = emulator.forecast_leads(test_snapshots, range(1, 9))
 
 Forecasting is **non-autoregressive** (paper Sec. II-A): every forecast
 window is conditioned on *true* past observations; model outputs are never
@@ -16,9 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import pod
 from repro.baselines.manual_lstm import build_manual_lstm
 from repro.data.windowing import train_validation_split
 from repro.forecast.pipeline import PODCoefficientPipeline
+from repro.nn.fused import causal_steps
 from repro.nn.metrics import r2_score
 from repro.nn.model import Network
 from repro.nn.training import History, Trainer
@@ -142,21 +145,10 @@ class PODLSTMEmulator:
 
         Returns ``(time_indices, predicted, actual)`` where indices are
         relative to the first snapshot of ``snapshots`` and coefficient
-        matrices are **unscaled**, shape ``(n_modes, n_windows)``.
+        matrices are **unscaled**, shape ``(n_modes, n_windows)``. The
+        one-lead case of :meth:`forecast_leads`' single pass.
         """
-        horizon = check_positive_int(horizon, name="horizon")
-        k = self.pipeline.window
-        if horizon > k:
-            raise ValueError(f"horizon {horizon} exceeds window {k}")
-        scaled = self.pipeline.transform(snapshots)
-        examples = self.pipeline.windows(scaled)
-        preds = self.predict_windows(examples.inputs)
-        n = examples.n_examples
-        times = np.arange(n) + k + (horizon - 1)
-        pred_scaled = preds[:, horizon - 1, :].T       # (N_r, n)
-        actual_scaled = examples.outputs[:, horizon - 1, :].T
-        return (times, self.pipeline.inverse(pred_scaled),
-                self.pipeline.inverse(actual_scaled))
+        return self._lead_series(snapshots, (horizon,))[horizon]
 
     def forecast_fields(self, snapshots: np.ndarray, horizon: int = 1
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,11 +156,47 @@ class PODLSTMEmulator:
 
         Returns ``(time_indices, fields)`` with ``fields`` of shape
         ``(N_h, n_windows)`` — reconstructed through the POD basis with
-        the mean state restored.
+        the mean state restored. The one-lead case of
+        :meth:`forecast_leads`.
         """
-        times, pred, _ = self.forecast_coefficient_series(snapshots, horizon)
-        from repro.pod import reconstruct  # local import: avoids cycle
-        return times, reconstruct(self.pipeline.basis, pred)
+        return self.forecast_leads(snapshots, (horizon,))[horizon]
+
+    def forecast_leads(self, snapshots: np.ndarray, horizons
+                       ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Physical-field forecasts at every lead in ``horizons`` from one
+        pass: ``{lead: (time_indices, fields)}`` in ascending lead order,
+        each entry bit for bit what :meth:`forecast_fields` returns for
+        that lead alone (Table I scores leads 1-8 this way)."""
+        basis = self.pipeline.basis
+        return {lead: (times, pod.reconstruct(basis, pred))
+                for lead, (times, pred, _) in
+                self._lead_series(snapshots, horizons).items()}
+
+    def _lead_series(self, snapshots: np.ndarray, horizons
+                     ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``{lead: (times, predicted, actual)}`` for ``horizons``, from
+        one forward pass up to the largest lead.
+
+        Output position ``h-1`` depends only on the first ``h`` input
+        steps of its window (every layer is causal in time), so the pass
+        runs over the :func:`~repro.nn.fused.causal_steps` prefix of each
+        window; the windows keep their whole output block for ``actual``.
+        """
+        k = self.pipeline.window
+        leads = sorted({check_positive_int(h, name="horizon")
+                        for h in horizons})
+        if not leads:
+            raise ValueError("no horizon given")
+        if leads[-1] > k:
+            raise ValueError(f"horizon {leads[-1]} exceeds window {k}")
+        examples = self.pipeline.windows_from_snapshots(snapshots)
+        steps = causal_steps(self._require_fit(), leads[-1], k)
+        preds = self.predict_windows(examples.inputs[:, :steps])
+        start = np.arange(examples.n_examples) + k - 1
+        return {h: (start + h,
+                    self.pipeline.inverse(preds[:, h - 1, :].T),
+                    self.pipeline.inverse(examples.outputs[:, h - 1, :].T))
+                for h in leads}
 
     @property
     def validation_r2(self) -> float:

@@ -168,7 +168,8 @@ class GeneticSearch(SearchAlgorithm):
         rate = (self.mutation_rate if self.mutation_rate is not None
                 else 1.0 / len(cards))
         for pos, card in enumerate(cards):
-            if float(self.rng.random()) < rate:
+            # A one-value gene has nothing to mutate to: no offset draw.
+            if float(self.rng.random()) < rate and card > 1:
                 offset = int(self.rng.integers(1, card))
                 child[pos] = (child[pos] + offset) % card
                 if obs.enabled():

@@ -95,10 +95,13 @@ class MixedRadixSpace:
 
     def mutate(self, arch: Architecture, rng=None) -> Architecture:
         """AE's mutation: re-draw one uniformly chosen variable node to a
-        *different* value (paper Sec. III-B1)."""
+        *different* value (paper Sec. III-B1). Only nodes with more than
+        one value can change, so the node is drawn among those."""
         arch = self.validate(arch)
         gen = as_generator(rng)
-        pos = int(gen.integers(len(arch)))
+        movable = [pos for pos, card in enumerate(self.cardinalities)
+                   if card > 1]
+        pos = movable[int(gen.integers(len(movable)))]
         card = self.cardinalities[pos]
         # Choose uniformly among the other card-1 values.
         offset = int(gen.integers(1, card))

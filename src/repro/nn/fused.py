@@ -27,6 +27,25 @@ gufunc's SIMD remainder reorders odd-K accumulation — whereas same-shape
 calls on differently-strided operands are (BLAS packs its operands; the
 gufunc's reduction order is layout-independent).
 
+One measured exception lets a forecast run a window *prefix*
+(:func:`causal_steps`). The input projections and dense layers contract
+``(B, T, F) @ (F, N)``, which NumPy evaluates as ``B`` separate
+per-example ``(T, F) @ (F, N)`` GEMMs. Cutting ``T`` to a prefix keeps
+the bits of the prefix rows when ``T >= 2``, ``N`` is a multiple of 4
+and the whole-window product ``T·F·N`` stays within
+:data:`PREFIX_MAX_MACS` — measured byte-equal on x86-64 OpenBLAS for
+every prefix ``T = 2..15`` of a 16-step window, 21 widths ``F`` from 1
+to 200 and every multiple-of-4 ``N`` up to 384 inside that bound.
+Outside it the rows differ:
+
+* ``T = 1``: NumPy sends a one-row product to GEMV;
+* ``N ≡ 1, 2, 3 (mod 8)`` with ``F >= 16`` (``F >= 8`` at ``N = 1``):
+  a trailing block of fewer than 4 rows takes another kernel;
+* a whole-window product above the bound, with a prefix below it:
+  OpenBLAS moves the prefix to its small-matrix kernel;
+* flattened ``(B·T, F)`` rows, whose M-dependent blocking also
+  differed in 3 of 72 probed shapes at ``M >= 1,024``.
+
 Contract (enforced by tests/test_fused_differential.py against the
 reference cells): forward is **bitwise identical**, with and without
 :func:`repro.nn.detmath.batch_invariant`; backward gradients agree to a
@@ -37,7 +56,13 @@ everything else is the same arithmetic in the same order).
 
 from __future__ import annotations
 
-__all__ = ["ScratchPool"]
+__all__ = ["PREFIX_MAX_MACS", "ScratchPool", "causal_steps"]
+
+#: Largest whole-window per-example product ``T·F·N`` (multiply-adds)
+#: for which a window prefix keeps its rows' bits: OpenBLAS routes
+#: products up to 10^6 to its small-matrix kernel, so a window above it
+#: and a prefix below it run different kernels.
+PREFIX_MAX_MACS = 10**6
 
 
 class ScratchPool:
@@ -91,3 +116,27 @@ def ones_column(array, column: int):
     """
     array[:, column] = 1.0
     return array
+
+
+def causal_steps(network, lead: int, window: int) -> int:
+    """Input steps per window whose forward pass gives output position
+    ``lead - 1`` the bits of the whole ``window``-step pass.
+
+    Every layer is causal in time (:class:`~repro.nn.layers.base.Layer`),
+    so position ``lead - 1`` reads only the first ``lead`` steps. The
+    prefix exception in the module docstring needs at least two steps,
+    and a network whose every weight matrix ``(F, N)`` has ``N`` a
+    multiple of 4 and ``window·F·N <= PREFIX_MAX_MACS`` — true of every
+    network the search space builds from its default operations and of
+    the manual LSTMs up to width
+    120 at ``window = 8``. Any other network runs the whole window. (The
+    check is conservative: it also bounds the recurrent kernels, whose
+    per-step products a prefix does not reshape.)
+    """
+    for param, _ in network.parameters_and_gradients():
+        if param.ndim == 2 and (
+                param.shape[1] % 4
+                or window * param.shape[0] * param.shape[1]
+                > PREFIX_MAX_MACS):
+            return window
+    return min(window, max(lead, 2))

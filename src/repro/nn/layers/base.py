@@ -3,7 +3,9 @@
 All tensors flowing through the network are ``(batch, time, features)``;
 the time dimension is never perturbed (paper Sec. III-A: "the second
 dimension of a tensor that is transformed from input to output is kept
-constant"). A layer:
+constant"), and every layer is causal in time: output step ``t`` reads
+input steps ``<= t`` only, so a forecast may run a window prefix
+(:func:`repro.nn.fused.causal_steps`). A layer:
 
 * is **built** once against its input feature dimensions (allocating
   parameters with an explicit RNG),

@@ -47,7 +47,9 @@ def reconstruct(basis: PODBasis, coefficients: np.ndarray,
             f"{basis.n_modes}")
     fields = basis.modes @ coeff
     if add_mean:
-        fields = basis.stats.uncenter(fields)
+        # In place on the fresh product: the same IEEE adds as
+        # SnapshotStats.uncenter, without a second (N_h, n) array.
+        fields += basis.stats.mean[:, None]
     return fields
 
 

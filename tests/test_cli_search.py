@@ -173,6 +173,41 @@ class TestResumeRefusalNamesFile:
             "'repro-search-checkpoint')")
 
 
+class TestExecutorResumeClusterFlags:
+    """A resumed executor campaign runs on the partition and agents it
+    was saved with, so --nodes/--wall/--agents are usage errors; this
+    invocation's --walltime and --checkpoint-every stay legal."""
+
+    @pytest.fixture
+    def campaign(self, capsys, tmp_path):
+        ckpt = tmp_path / "campaign.json"
+        code, _ = _search(capsys, "--algorithm", "ae", "--walltime", "250",
+                          "--checkpoint", str(ckpt))
+        assert code == 0
+        return ckpt
+
+    @pytest.mark.parametrize("flag", [["--nodes", "3"], ["--wall", "7"],
+                                      ["--agents", "9"]],
+                             ids=lambda flag: flag[0])
+    def test_refused(self, capsys, campaign, flag):
+        saved = campaign.read_bytes()
+        assert _exit_code(["search", "--resume", str(campaign), "--seed",
+                           "0", "--checkpoint", str(campaign), *flag]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert flag[0] in captured.err
+        assert "completed:" not in captured.out
+        assert campaign.read_bytes() == saved
+
+    def test_walltime_and_cadence_allowed(self, capsys, campaign):
+        assert main(["search", "--resume", str(campaign), "--seed", "0",
+                     "--walltime", "100", "--checkpoint", str(campaign),
+                     "--checkpoint-every", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "resuming campaign" in out
+        assert "checkpoint written" in out
+
+
 class TestMultiFidelityIgnoredFlags:
     """sh/hyperband bound a campaign by --stop-after and checkpoint after
     every evaluation, so the executor-only flags are usage errors."""

@@ -7,10 +7,14 @@ tiny budgets, asserting structural correctness and the coarse orderings
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments.context import (
     ExperimentPreset,
     ReproductionContext,
@@ -177,6 +181,29 @@ RECORDED_FIG8 = \
 RECORDED_FIG9 = \
     "541e0297bb8363698c78b3a6f7c6b2fd6b51f3edcea7f4aeadd5f3f0b4f0297c"
 
+#: run_table1(max_targets=80, n_weeks=8) at the mini preset with one BLAS
+#: thread: the weeks and the three RMSE rows. Recorded when every lead
+#: still ran its own forecast over the whole window.
+RECORDED_TABLE1 = \
+    "7e82f3127c19c161c69d517f77facae1ee6ceb6c55cb17ea57ce924d6d068722"
+
+#: The mini preset's Table I, run in a child process: OpenBLAS rounds the
+#: POD's S^T S product, and so every trained weight, differently once it
+#: threads it, so the child pins one BLAS thread.
+_TABLE1_SCRIPT = """
+import json
+from repro.experiments import table1_rmse as t1
+from repro.experiments.context import ExperimentPreset, ReproductionContext
+preset = ExperimentPreset(name="mini", degrees=12.0, seed=3,
+                          posttrain_epochs=4, search_evaluations=150,
+                          forest_estimators=4, boosting_rounds=6,
+                          wall_seconds=900.0)
+ctx = ReproductionContext(preset)
+t1.get_context = lambda name: ctx
+result = t1.run_table1("mini", n_weeks=8)
+print(json.dumps({"weeks": result.weeks, "rmse": result.rmse}))
+"""
+
 
 class TestRecordedOutput:
     """The search drivers' results at the mini preset, pinned bit for bit
@@ -217,3 +244,16 @@ class TestRecordedOutput:
                         "utilizations": result.utilizations,
                         "n_evaluations": result.n_evaluations}) \
             == RECORDED_FIG9
+
+    def test_table1_digest(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        child = subprocess.run([sys.executable, "-c", _TABLE1_SCRIPT],
+                               capture_output=True, text=True, env=env,
+                               timeout=600)
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout)
+        assert result["weeks"] == list(range(1, 9))
+        assert _digest(result) == RECORDED_TABLE1

@@ -1,9 +1,22 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.baselines import build_manual_lstm
-from repro.forecast import PODLSTMEmulator
+from repro.forecast import PODCoefficientPipeline, PODLSTMEmulator
+from repro.nas.space.builder import build_network
+from repro.nas.space.search_space import StackedLSTMSpace
+from repro.nn.detmath import batch_invariant
+from repro.nn.fused import PREFIX_MAX_MACS, causal_steps
+from repro.nn.layers import DenseLayer, GRULayer, LSTMLayer, SimpleRNNLayer
+from repro.nn.model import Network
 from repro.nn.training import Trainer
+from tests.reference_forecast import (
+    reference_coefficient_series,
+    reference_fields,
+    reference_reconstruct,
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +101,14 @@ class TestForecastSeries:
 
     def test_invalid_horizon(self, fitted_emulator):
         emulator, snaps = fitted_emulator
+        k = emulator.pipeline.window
         with pytest.raises(ValueError):
             emulator.forecast_coefficient_series(snaps, horizon=0)
         with pytest.raises(ValueError):
-            emulator.forecast_coefficient_series(
-                snaps, horizon=emulator.pipeline.window + 1)
+            emulator.forecast_coefficient_series(snaps, horizon=k + 1)
+        for bad in ((), (0,), (1, k + 1)):
+            with pytest.raises(ValueError):
+                emulator.forecast_leads(snaps, bad)
 
 
 class TestForecastFields:
@@ -133,3 +149,151 @@ class TestScore:
         later = generator.snapshots(np.arange(160, 260))
         score = emulator.score(later)
         assert np.isfinite(score)
+
+
+# ----------------------------------------------------------------------
+# Lead forecasts: one pass over a causal window prefix, held to the
+# whole-window per-lead oracle (tests/reference_forecast.py) bit for bit.
+# ----------------------------------------------------------------------
+K = 8
+#: The quick preset's searched architecture: the 136,248-parameter
+#: network the emulate benchmark trains.
+EMULATE_ARCH = (0, 0, 6, 4, 5, 1, 1, 1, 1, 0, 1, 1, 0, 1)
+
+
+def _gru_rnn(gru_units: int, rnn_units: int) -> Network:
+    net = Network(input_dim=5, rng=0)
+    net.add_node("gru", GRULayer(gru_units), ["input"])
+    net.add_node("rnn", SimpleRNNLayer(rnn_units), ["gru"])
+    net.add_node("output", LSTMLayer(5), ["rnn"])
+    return net
+
+
+def _lead_network(name: str) -> Network:
+    space = StackedLSTMSpace()
+    if name == "emulate":
+        return build_network(space, EMULATE_ARCH, rng=0)
+    if name.startswith("space"):
+        index = int(name[len("space"):])
+        arch = space.random_architecture(np.random.default_rng(100 + index))
+        return build_network(space, arch, rng=index)
+    if name == "manual":
+        return build_manual_lstm(80, 1, rng=0)
+    if name == "gru_rnn":
+        return _gru_rnn(24, 16)
+    # The two networks below run the whole window (causal_steps): a
+    # bare max(h, 2) prefix changes their lead 1-7 bits on x86-64
+    # OpenBLAS. SimpleRNN(3) over 16 features is a (T, 16) @ (16, 3)
+    # product, whose trailing rows take another kernel at T = 2, 3, 5,
+    # 6, 7; LSTM(123) over 256 features is a 8 x 256 x 492 window
+    # product just above PREFIX_MAX_MACS, so a prefix runs the
+    # small-matrix kernel instead.
+    if name == "gru_rnn_odd":
+        return _gru_rnn(16, 3)
+    assert name == "wide"
+    net = Network(input_dim=5, rng=0)
+    net.add_node("wide", DenseLayer(256), ["input"])
+    net.add_node("lstm", LSTMLayer(123), ["wide"])
+    net.add_node("output", LSTMLayer(5), ["lstm"])
+    return net
+
+
+LEAD_NETWORKS = ("emulate", "space0", "space1", "space2", "manual",
+                 "gru_rnn", "gru_rnn_odd", "wide")
+WHOLE_WINDOW = ("gru_rnn_odd", "wide")
+
+
+@pytest.fixture(scope="module")
+def lead_series(generator):
+    """A fitted 5-mode, K = 8 pipeline and a 315-week series: 300
+    windows, so every predict ends on a partial 44-row chunk."""
+    pipeline = PODCoefficientPipeline(n_modes=5, window=K)
+    pipeline.fit(generator.snapshots(np.arange(200)))
+    return pipeline, generator.snapshots(np.arange(200, 515))
+
+
+@pytest.fixture(scope="module", params=LEAD_NETWORKS)
+def lead_emulator(request, lead_series):
+    pipeline, series = lead_series
+    emulator = PODLSTMEmulator.from_artifacts(
+        pipeline, _lead_network(request.param))
+    return request.param, emulator, series
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("invariant", [False, True],
+                         ids=["default", "batch_invariant"])
+class TestLeadOracle:
+    def test_single_lead_calls(self, lead_emulator, invariant):
+        _, emulator, series = lead_emulator
+        with batch_invariant() if invariant else nullcontext():
+            for h in range(1, K + 1):
+                got = emulator.forecast_coefficient_series(series, h)
+                want = reference_coefficient_series(emulator, series, h)
+                assert all(_same_bits(g, w) for g, w in zip(got, want)), h
+                times, fields = emulator.forecast_fields(series, h)
+                assert _same_bits(times, want[0]), h
+                assert _same_bits(
+                    fields, reference_reconstruct(emulator, want[1])), h
+
+    def test_multi_lead_call(self, lead_emulator, invariant):
+        _, emulator, series = lead_emulator
+        with batch_invariant() if invariant else nullcontext():
+            every = emulator.forecast_leads(series, range(1, K + 1))
+            some = emulator.forecast_leads(series, (7, 2, 7))
+            assert list(every) == list(range(1, K + 1))
+            assert list(some) == [2, 7]
+            for h, (times, fields) in every.items():
+                ref_times, ref_fields = reference_fields(emulator, series, h)
+                assert _same_bits(times, ref_times), h
+                assert _same_bits(fields, ref_fields), h
+                if h in some:
+                    assert _same_bits(some[h][1], ref_fields), h
+
+
+class TestCausalPrefix:
+    def test_steps_per_network(self, lead_emulator):
+        name, emulator, _ = lead_emulator
+        for h in range(1, K + 1):
+            expected = K if name in WHOLE_WINDOW else max(h, 2)
+            assert causal_steps(emulator.network, h, K) == expected
+
+    def test_one_predict_over_the_prefix(self, lead_series, monkeypatch):
+        pipeline, series = lead_series
+        emulator = PODLSTMEmulator.from_artifacts(
+            pipeline, _lead_network("emulate"))
+        shapes = []
+        predict = emulator.network.predict
+
+        def spy(x, batch_size=None):
+            shapes.append(x.shape)
+            return predict(x, batch_size=batch_size)
+        monkeypatch.setattr(emulator.network, "predict", spy)
+        emulator.forecast_fields(series, horizon=1)
+        emulator.forecast_fields(series, horizon=5)
+        emulator.forecast_leads(series, (1, 3))
+        emulator.forecast_leads(series, range(1, K + 1))
+        assert shapes == [(300, 2, 5), (300, 5, 5), (300, 3, 5),
+                          (300, K, 5)]
+
+    def test_weight_rules(self):
+        def net(layer):
+            n = Network(input_dim=5, rng=0)
+            n.add_node("only", layer, ["input"])
+            return n
+        assert causal_steps(net(LSTMLayer(8)), 1, K) == 2
+        assert causal_steps(net(LSTMLayer(8)), 3, 4) == 3
+        assert causal_steps(net(LSTMLayer(8)), 6, 4) == 4
+        assert causal_steps(net(DenseLayer(12)), 1, K) == 2
+        # A column count that is not a multiple of 4.
+        assert causal_steps(net(DenseLayer(6)), 1, K) == K
+        assert causal_steps(net(GRULayer(5)), 1, K) == K
+        # A whole-window product above the small-matrix bound.
+        width = 4 * (PREFIX_MAX_MACS // (K * 5 * 4) + 1)
+        assert causal_steps(net(DenseLayer(width)), 1, K) == K
+        assert causal_steps(net(DenseLayer(width - 4)), 1, K) == 2

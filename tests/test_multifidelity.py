@@ -403,6 +403,38 @@ class TestJointSearch:
         assert ga.generation >= 10
         assert ga.best_reward > max(firstgen)
 
+    @pytest.fixture
+    def fixed_window_space(self, small_space):
+        """Window fixed at 8: a one-value gene among movable ones."""
+        grid = HyperparameterGrid(learning_rates=(1e-3, 1e-2),
+                                  windows=(8,), pod_ranks=(3, 5, 7))
+        return JointArchitectureSpace(small_space, grid)
+
+    def test_mutation_never_moves_a_one_value_gene(self,
+                                                   fixed_window_space):
+        space = fixed_window_space
+        window_gene = len(space.cardinalities) - 2
+        rng = np.random.default_rng(0)
+        enc = space.random_architecture(rng)
+        for _ in range(300):
+            child = space.mutate(enc, rng)
+            assert child[window_gene] == 0
+            assert sum(a != b for a, b in zip(child, enc)) == 1
+            enc = child
+
+    def test_ga_never_moves_a_one_value_gene(self, fixed_window_space,
+                                             model):
+        space = fixed_window_space
+        window_gene = len(space.cardinalities) - 2
+        ev = JointSurrogateEvaluator(space, model)
+        ga = GeneticSearch(space, rng=0, population_size=6,
+                           tournament_size=3, mutation_rate=0.5)
+        for i in range(60):
+            enc = ga.ask()
+            assert enc[window_gene] == 0
+            ga.tell(enc, ev.evaluate(enc, np.random.default_rng(i)).reward)
+        assert ga.generation >= 5
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             HyperparameterGrid(learning_rates=())
