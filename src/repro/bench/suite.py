@@ -179,9 +179,10 @@ def _forecast_leads_benchmark(quick: bool) -> Benchmark:
     ``make()`` also times the same leads as eight single-lead
     ``forecast_fields`` calls, each of which transforms, windows and
     predicts on its own; the median of three lands in the metadata as
-    ``eight_calls_s``. 4 degrees and the 1,487 test weeks are the
-    ``emulate`` workload's shape; the quick suite uses 9 degrees and 300
-    weeks."""
+    ``eight_calls_s``, and the number of threads the forecast's chunked
+    predict runs on as ``threads``. 4 degrees and the 1,487 test weeks
+    are the ``emulate`` workload's shape; the quick suite uses 9 degrees
+    and 300 weeks."""
     degrees, n_test = (9.0, 300) if quick else (4.0, 1487)
     n_train, leads = 427, tuple(range(1, 9))
 
@@ -192,6 +193,7 @@ def _forecast_leads_benchmark(quick: bool) -> Benchmark:
         from repro.data.grid import LatLonGrid
         from repro.data.sst import SyntheticSST
         from repro.forecast import PODLSTMEmulator
+        from repro.nn.model import _usable_cpus
         from repro.nn.training import Trainer
         generator = SyntheticSST(grid=LatLonGrid(degrees=degrees), seed=0)
         snapshots = generator.snapshots(np.arange(n_train + n_test))
@@ -200,6 +202,10 @@ def _forecast_leads_benchmark(quick: bool) -> Benchmark:
             trainer=Trainer(epochs=2, batch_size=64, learning_rate=0.002))
         emulator.fit(snapshots[:, :n_train], rng=0)
         test = snapshots[:, n_train:]
+        windows = emulator.pipeline.windows(
+            emulator.pipeline.transform(test)).n_examples
+        # 256: the chunk size of PODLSTMEmulator.predict_windows.
+        metadata["threads"] = min(-(-windows // 256), len(_usable_cpus()))
         times = []
         for _ in range(3):
             t0 = _time.perf_counter()

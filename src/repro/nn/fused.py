@@ -11,6 +11,14 @@ backward only materializes the per-step pre-activation gradients, after
 which ``dWx``/``dWh``/``db``/``dx`` each fall out of a *single* stacked
 ``(T·B, ·)`` GEMM instead of ``T`` small ones.
 
+Training and inference run the same per-step loop. Only a
+``training=True`` forward keeps what backward reads — every step's gate,
+cell and ``tanh(c)`` (LSTM) or gate and ``r * h`` (GRU) history and the
+time-major input copy — and only it builds the backward buffers; an
+inference forward reuses one step's slot of each and records nothing on
+the layer, so threads may share a layer (:class:`ScratchPool` holds one
+workspace per thread).
+
 Each kernel is held to a **reference cell** — one small
 GEMM/elementwise expression per quantity per timestep, written for
 auditability — kept as the differential suite's oracle in
@@ -56,6 +64,8 @@ everything else is the same arithmetic in the same order).
 
 from __future__ import annotations
 
+import threading
+
 __all__ = ["PREFIX_MAX_MACS", "ScratchPool", "causal_steps"]
 
 #: Largest whole-window per-example product ``T·F·N`` (multiply-adds)
@@ -72,35 +82,38 @@ class ScratchPool:
     ``np.empty``-ing the forward/backward buffers every call costs more
     in page faults than the gate math itself — roughly a third of the
     LSTM hot path at ``(B, T, H) = (64, 16, 64)``. The pool hands back
-    the same dict of arrays as long as the problem shape key is
-    unchanged and rebuilds it when the shape changes (e.g. the last
-    partial batch of an epoch).
+    the same dict of arrays as long as the workspace key is unchanged
+    and rebuilds it when the key changes (e.g. the last partial batch of
+    an epoch, or a switch between training and inference workspaces).
 
-    Not thread-safe by design: a pool belongs to one layer instance, and
-    a layer's forward/backward is never entered concurrently (a network
-    runs its nodes one at a time). Pickling a layer — e.g. shipping a
-    candidate to a NAS worker process — deliberately drops the buffers:
-    they are derived state, and the worker's shapes may differ.
+    One workspace **per thread**: the key and buffers live in a
+    ``threading.local``, so inference forwards of one layer may run on
+    several threads at once (:meth:`repro.nn.model.Network.predict`),
+    each in its own buffers. A thread's workspace dies with the thread.
+    Pickling a layer — e.g. shipping a candidate to a NAS worker process
+    — deliberately drops the buffers: they are derived state, and the
+    worker's shapes may differ.
     """
 
-    __slots__ = ("_key", "_bufs")
+    __slots__ = ("_local",)
 
     def __init__(self) -> None:
-        self._key = None
-        self._bufs = None
+        self._local = threading.local()
 
     def get(self, key, build):
-        """Return the buffer dict for ``key``, calling ``build()`` only
-        when the previous call had a different key (or there was none).
+        """Return the calling thread's buffer dict for ``key``, calling
+        ``build()`` only when that thread's previous call had a
+        different key (or there was none).
 
         The old set is released before ``build()`` runs, so the pool
-        never holds two full workspaces at once.
+        never holds two full workspaces for one thread at once.
         """
-        if self._key != key:
-            self._key = self._bufs = None
-            self._bufs = build()
-            self._key = key
-        return self._bufs
+        local = self._local
+        if getattr(local, "key", None) != key:
+            local.key = local.bufs = None
+            local.bufs = build()
+            local.key = key
+        return local.bufs
 
     def __reduce__(self):
         return (type(self), ())

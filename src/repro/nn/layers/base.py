@@ -9,8 +9,12 @@ input steps ``<= t`` only, so a forecast may run a window prefix
 
 * is **built** once against its input feature dimensions (allocating
   parameters with an explicit RNG),
-* caches whatever the most recent ``forward`` needs for ``backward``
-  (single-use cache: one backward per forward),
+* caches what ``backward`` needs only in a ``forward(training=True)``
+  (single-use cache: one backward per training forward). An inference
+  forward (``training=False``, the default) records nothing on the layer
+  and writes only per-thread scratch, so one layer may serve inference
+  on several threads at once; a ``backward`` with no training forward
+  to consume raises ``RuntimeError``,
 * accumulates parameter gradients in ``grads`` (zeroed by the trainer
   between steps via :meth:`zero_grads`).
 """
@@ -61,8 +65,17 @@ class Layer:
 
     def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
         """Given dL/d(output), accumulate parameter grads and return
-        dL/d(input_i) for every input of the latest forward."""
+        dL/d(input_i) for every input of the latest training forward."""
         raise NotImplementedError
+
+    def _take_cache(self):
+        """Consume the cache of the latest training forward."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs a preceding "
+                f"forward(training=True)")
+        return cache
 
     # -- diagnostics -------------------------------------------------------
     def _check_single_input(self, inputs: list[np.ndarray]) -> np.ndarray:

@@ -52,14 +52,12 @@ class DenseLayer(Layer):
         obs.counter_add("nn/gemms")
         pre = x @ self.params["W"] + self.params["b"]
         y = self.activation.forward(pre)
-        self._cache = (x, y)
+        if training:
+            self._cache = (x, y)
         return y
 
     def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x, y = self._cache
-        self._cache = None
+        x, y = self._take_cache()
         grad_pre = self.activation.backward(grad_output, y)
         b, t, f = x.shape
         x2 = x.reshape(b * t, f)

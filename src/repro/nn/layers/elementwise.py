@@ -55,14 +55,12 @@ class AddLayer(Layer):
         for x in inputs[1:]:
             total += x
         y = self.activation.forward(total)
-        self._cache = y
+        if training:
+            self._cache = y
         return y
 
     def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        y = self._cache
-        self._cache = None
+        y = self._take_cache()
         grad = self.activation.backward(grad_output, y)
         # The sum routes the same gradient to each addend; the first gets
         # the array itself, the rest views would alias so we copy.
@@ -95,14 +93,12 @@ class ActivationLayer(Layer):
     def forward(self, inputs, training: bool = False) -> np.ndarray:
         x = self._check_single_input(inputs)
         y = self.activation.forward(x)
-        self._cache = y
+        if training:
+            self._cache = y
         return y
 
     def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        y = self._cache
-        self._cache = None
+        y = self._take_cache()
         return [self.activation.backward(grad_output, y)]
 
     def __repr__(self) -> str:

@@ -65,49 +65,59 @@ class GRULayer(Layer):
     # ------------------------------------------------------------------
     # Fused kernels (shape rule and contract: repro.nn.fused).
     # ------------------------------------------------------------------
-    def _buffers(self, batch: int, steps: int, in_dim: int) -> dict:
+    def _buffers(self, batch: int, steps: int, in_dim: int,
+                 training: bool) -> dict:
         h = self.units
-        return self._pool.get(
-            (batch, steps, in_dim),
-            lambda: {
+        # Backward reads every step's gates and r * h_prev: training
+        # keeps those histories, inference one reused step of each.
+        kept = steps if training else 1
+
+        def build():
+            bufs = {
                 "hs": np.empty((steps, batch, h)),
-                "gates": np.empty((steps, batch, 3 * h)),
-                "rh": np.empty((steps, batch, h)),
-                "xT": np.empty((steps, batch, in_dim)),
+                "gates": np.empty((kept, batch, 3 * h)),
+                "rh": np.empty((kept, batch, h)),
                 "xp": np.empty((batch, steps, 3 * h)),
                 "wh_g": np.empty((h, h)),
-                "wh_zr_T": np.empty((2 * h, h)),
-                "wh_g_T": np.empty((h, h)),
-                "wxT3": np.empty((3, h, in_dim)),
                 "zr": np.empty((batch, 2 * h)),
                 "rec": np.empty((batch, 3 * h)),
                 "gp": np.empty((batch, h)),
                 "s2": np.empty((batch, 2 * h)),
                 "t1": np.empty((batch, h)),
-                "t2": np.empty((batch, h)),
-                "dh": np.empty((batch, h)),
-                "dhp": np.empty((batch, h)),
-                "dzb": np.empty((batch, h)),
-                "dgb": np.empty((batch, h)),
-                "drh": np.empty((batch, h)),
-                "mm": np.empty((batch, h)),
-                "dh_next": np.empty((batch, h)),
                 "zeros": np.zeros((batch, h)),
-                "dpres": np.empty((steps, batch, 3 * h)),
-                "h_shift": np.empty((steps, batch, h)),
-                "acc": ones_column(
-                    np.empty((steps * batch, in_dim + 1)), in_dim),
-                "accR": np.empty((in_dim + 1, 3 * h)),
-                "dxf": np.empty((steps * batch, in_dim)),
-                "dxt": np.empty((steps * batch, in_dim)),
-            })
+            }
+            if training:
+                bufs.update({
+                    "xT": np.empty((steps, batch, in_dim)),
+                    "wh_zr_T": np.empty((2 * h, h)),
+                    "wh_g_T": np.empty((h, h)),
+                    "wxT3": np.empty((3, h, in_dim)),
+                    "t2": np.empty((batch, h)),
+                    "dh": np.empty((batch, h)),
+                    "dhp": np.empty((batch, h)),
+                    "dzb": np.empty((batch, h)),
+                    "dgb": np.empty((batch, h)),
+                    "drh": np.empty((batch, h)),
+                    "mm": np.empty((batch, h)),
+                    "dh_next": np.empty((batch, h)),
+                    "dpres": np.empty((steps, batch, 3 * h)),
+                    "h_shift": np.empty((steps, batch, h)),
+                    "acc": ones_column(
+                        np.empty((steps * batch, in_dim + 1)), in_dim),
+                    "accR": np.empty((in_dim + 1, 3 * h)),
+                    "dxf": np.empty((steps * batch, in_dim)),
+                    "dxt": np.empty((steps * batch, in_dim)),
+                })
+            return bufs
+
+        return self._pool.get((batch, steps, in_dim, training), build)
 
     def forward(self, inputs, training: bool = False) -> np.ndarray:
         x = self._check_single_input(inputs)
         batch, steps, in_dim = x.shape
         h = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-        bufs = self._buffers(batch, steps, in_dim)
+        bufs = self._buffers(batch, steps, in_dim, training)
         # Contiguous copy of the candidate block, once per call: same
         # GEMM shape and values as the reference's ``wh[:, 2H:]`` view
         # (BLAS packs either into the identical panels; the invariant
@@ -127,9 +137,6 @@ class GRULayer(Layer):
         xp = bufs["xp"]
         np.matmul(x, wx, out=xp)  # (B, T, 3H), == reference x @ wx
         xp += b
-        # Time-major input copy for the backward accumulation fill.
-        xT = bufs["xT"]
-        xT[:] = x.transpose(1, 0, 2)
         # One input-projection GEMM + two recurrent GEMMs per step,
         # matching the reference shapes exactly (the dead candidate
         # third of the full product cannot be skipped without changing
@@ -141,14 +148,15 @@ class GRULayer(Layer):
         s2, t1 = bufs["s2"], bufs["t1"]
         rec = bufs["rec"]
         for t in range(steps):
+            k = t if training else 0  # history slot
             recurrent_matmul(h_prev, wh, out=rec)
             np.add(rec[:, :2 * h], xp[:, t, :2 * h], out=zr)
-            gate = gates[t]
+            gate = gates[k]
             sigmoid(zr, out=gate[:, :2 * h], scratch=s2)      # z, r
             z = gate[:, :h]
             r = gate[:, h:2 * h]
-            np.multiply(r, h_prev, out=rh[t])
-            recurrent_matmul(rh[t], wh_g, out=gp)
+            np.multiply(r, h_prev, out=rh[k])
+            recurrent_matmul(rh[k], wh_g, out=gp)
             gp += xp[:, t, 2 * h:]
             g = np.tanh(gp, out=gate[:, 2 * h:])
             np.multiply(z, h_prev, out=hs[t])
@@ -156,7 +164,11 @@ class GRULayer(Layer):
             np.multiply(t1, g, out=t1)
             hs[t] += t1
             h_prev = hs[t]
-        self._cache = (x, hs, gates, rh)
+        if training:
+            # Time-major input copy for the backward accumulation fill.
+            xT = bufs["xT"]
+            xT[:] = x.transpose(1, 0, 2)
+            self._cache = (xT, hs, gates, rh)
         # Always a fresh copy: for singleton batch/steps the transpose
         # is already contiguous and ``ascontiguousarray`` would hand the
         # caller a *view into the pooled scratch* that the next forward
@@ -166,14 +178,11 @@ class GRULayer(Layer):
         return out
 
     def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x, hs, gates, rh = self._cache
-        self._cache = None
-        batch, steps, in_dim = x.shape
+        xT, hs, gates, rh = self._take_cache()
+        steps, batch, in_dim = xT.shape
         h = self.units
         wx, wh = self.params["Wx"], self.params["Wh"]
-        bufs = self._buffers(batch, steps, in_dim)
+        bufs = self._buffers(batch, steps, in_dim, True)
         # Contiguous pre-transposed weights: OpenBLAS's NoTrans path
         # beats its Trans path at these sizes; one copy per call buys
         # back the difference on every step's GEMM. Reassociates nothing
@@ -239,7 +248,7 @@ class GRULayer(Layer):
         dpre_flat = dpres.reshape(steps * batch, 3 * h)
         acc = bufs["acc"]
         acc3 = acc.reshape(steps, batch, in_dim + 1)
-        acc3[..., :in_dim] = bufs["xT"]  # filled time-major by forward
+        acc3[..., :in_dim] = xT
         h_shift = bufs["h_shift"]
         h_shift[0] = 0.0
         h_shift[1:] = hs[:-1]

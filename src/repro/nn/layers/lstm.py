@@ -71,54 +71,65 @@ class LSTMLayer(Layer):
     # ------------------------------------------------------------------
     # Fused kernels (shape rule and contract: repro.nn.fused).
     # ------------------------------------------------------------------
-    def _buffers(self, batch: int, steps: int, in_dim: int) -> dict:
+    def _buffers(self, batch: int, steps: int, in_dim: int,
+                 training: bool) -> dict:
         h = self.units
-        return self._pool.get(
-            (batch, steps, in_dim),
-            lambda: {
+        # Backward reads every step's gates, cell and tanh(c): training
+        # keeps those histories, inference one reused step of each.
+        kept = steps if training else 1
+
+        def build():
+            bufs = {
                 "hs": np.empty((steps, batch, h)),
-                "cs": np.empty((steps, batch, h)),
+                "cs": np.empty((kept, batch, h)),
                 # Gate-block layout (T, 4, B, H): every per-gate operand
                 # is a *contiguous* (B, H) slab. Elementwise kernels on
                 # 64-wide blocks strided inside (B, 4H) rows cost 3-6x
                 # their contiguous equivalents, which dominated the old
                 # hot path.
-                "gates": np.empty((steps, 4, batch, h)),
-                "tanh_c": np.empty((steps, batch, h)),
-                "xT": np.empty((steps, batch, in_dim)),
-                "whT": np.empty((4 * h, h)),
-                "wxT4": np.empty((4, h, in_dim)),
+                "gates": np.empty((kept, 4, batch, h)),
+                "tanh_c": np.empty((kept, batch, h)),
                 "xp": np.empty((batch, steps, 4 * h)),
                 "z4": np.empty((4, batch, h)),
                 "zw": np.empty((batch, 4 * h)),
                 "s2": np.empty((2, batch, h)),
                 "s1": np.empty((batch, h)),
                 "t1": np.empty((batch, h)),
-                "t2": np.empty((batch, h)),
-                "dh": np.empty((batch, h)),
-                "dc": np.empty((batch, h)),
-                "dh_next": np.empty((batch, h)),
-                "dc_next": np.empty((batch, h)),
                 "zeros": np.zeros((batch, h)),
-                "dz4": np.empty((4, batch, h)),
-                "dzs": np.empty((steps, batch, 4 * h)),
-                "D4": np.empty((4, batch, h)),
-                # Stacked accumulation operand [x | 1 | h_{t-1}]: one GEMM
-                # yields dWx, db and dWh together. The ones column is
-                # written here, once; nothing else touches it.
-                "acc": ones_column(
-                    np.empty((steps * batch, in_dim + 1 + h)), in_dim),
-                "accR": np.empty((in_dim + 1 + h, 4 * h)),
-                "dxf": np.empty((steps * batch, in_dim)),
-                "dxt": np.empty((steps * batch, in_dim)),
-            })
+            }
+            if training:
+                bufs.update({
+                    "xT": np.empty((steps, batch, in_dim)),
+                    "whT": np.empty((4 * h, h)),
+                    "wxT4": np.empty((4, h, in_dim)),
+                    "t2": np.empty((batch, h)),
+                    "dh": np.empty((batch, h)),
+                    "dc": np.empty((batch, h)),
+                    "dh_next": np.empty((batch, h)),
+                    "dc_next": np.empty((batch, h)),
+                    "dz4": np.empty((4, batch, h)),
+                    "dzs": np.empty((steps, batch, 4 * h)),
+                    "D4": np.empty((4, batch, h)),
+                    # Stacked accumulation operand [x | 1 | h_{t-1}]:
+                    # one GEMM yields dWx, db and dWh together. The ones
+                    # column is written here, once; nothing else
+                    # touches it.
+                    "acc": ones_column(
+                        np.empty((steps * batch, in_dim + 1 + h)), in_dim),
+                    "accR": np.empty((in_dim + 1 + h, 4 * h)),
+                    "dxf": np.empty((steps * batch, in_dim)),
+                    "dxt": np.empty((steps * batch, in_dim)),
+                })
+            return bufs
+
+        return self._pool.get((batch, steps, in_dim, training), build)
 
     def forward(self, inputs, training: bool = False) -> np.ndarray:
         x = self._check_single_input(inputs)
         batch, steps, in_dim = x.shape
         h = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-        bufs = self._buffers(batch, steps, in_dim)
+        bufs = self._buffers(batch, steps, in_dim, training)
         hs, cs = bufs["hs"], bufs["cs"]
         gates, tanh_c = bufs["gates"], bufs["tanh_c"]
 
@@ -133,9 +144,6 @@ class LSTMLayer(Layer):
         xp = bufs["xp"]
         np.matmul(x, wx, out=xp)  # (B, T, 4H), == reference x @ wx
         xp += b
-        # Time-major input copy for the backward accumulation fill.
-        xT = bufs["xT"]
-        xT[:] = x.transpose(1, 0, 2)
         obs.counter_add("nn/fused_gemms", 1 + steps)
         h_prev = bufs["zeros"]
         c_prev = bufs["zeros"]
@@ -145,6 +153,7 @@ class LSTMLayer(Layer):
         s2, s1 = bufs["s2"], bufs["s1"]  # sigmoid scratch
         ig = bufs["t1"]          # i * g product
         for t in range(steps):
+            k = t if training else 0  # history slot
             # Same wide product as the reference (recurrent_matmul also
             # owns the batch-invariant switch), same addition pairs
             # (x-projection + recurrence commutes bitwise), then one
@@ -152,18 +161,22 @@ class LSTMLayer(Layer):
             recurrent_matmul(h_prev, wh, out=zw)
             np.add(zw, xp[:, t, :], out=zw)
             np.copyto(z4, z4_src)
-            gate = gates[t]
+            gate = gates[k]
             sigmoid(z4[:2], out=gate[:2], scratch=s2)  # i, f in one pass
             np.tanh(z4[2], out=gate[2])                # g
             sigmoid(z4[3], out=gate[3], scratch=s1)    # o
-            c = cs[t]
+            c = cs[k]
             np.multiply(gate[1], c_prev, out=c)        # f * c_prev
             np.multiply(gate[0], gate[2], out=ig)
             c += ig                                    # + i * g
-            tc = np.tanh(c, out=tanh_c[t])
+            tc = np.tanh(c, out=tanh_c[k])
             np.multiply(gate[3], tc, out=hs[t])        # o * tanh(c)
             h_prev, c_prev = hs[t], c
-        self._cache = (x, hs, cs, gates, tanh_c)
+        if training:
+            # Time-major input copy for the backward accumulation fill.
+            xT = bufs["xT"]
+            xT[:] = x.transpose(1, 0, 2)
+            self._cache = (xT, hs, cs, gates, tanh_c)
         # Always a fresh copy: for singleton batch/steps the transpose
         # is already contiguous and ``ascontiguousarray`` would hand the
         # caller a *view into the pooled scratch* that the next forward
@@ -173,14 +186,11 @@ class LSTMLayer(Layer):
         return out
 
     def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x, hs, cs, gates, tanh_c = self._cache
-        self._cache = None
-        batch, steps, in_dim = x.shape
+        xT, hs, cs, gates, tanh_c = self._take_cache()
+        steps, batch, in_dim = xT.shape
         h = self.units
         wx, wh = self.params["Wx"], self.params["Wh"]
-        bufs = self._buffers(batch, steps, in_dim)
+        bufs = self._buffers(batch, steps, in_dim, True)
         # Contiguous pre-transposed weights: one 12us copy buys back
         # ~13us per step on the dh_next GEMM (OpenBLAS's NoTrans path
         # beats its Trans path at these sizes). Reassociates nothing at
@@ -255,7 +265,7 @@ class LSTMLayer(Layer):
         dz_flat = dzs.reshape(steps * batch, 4 * h)
         acc = bufs["acc"]  # (T*B, F+1+H), ones column prebuilt
         acc3 = acc.reshape(steps, batch, in_dim + 1 + h)
-        acc3[..., :in_dim] = bufs["xT"]  # filled time-major by forward
+        acc3[..., :in_dim] = xT
         acc3[0, :, in_dim + 1:] = 0.0          # h_{-1} = 0
         acc3[1:, :, in_dim + 1:] = hs[:-1]
         R = np.matmul(acc.T, dz_flat, out=bufs["accR"])

@@ -51,34 +51,42 @@ class SimpleRNNLayer(Layer):
     # ------------------------------------------------------------------
     # Fused kernels (shape rule and contract: repro.nn.fused).
     # ------------------------------------------------------------------
-    def _buffers(self, batch: int, steps: int, in_dim: int) -> dict:
+    def _buffers(self, batch: int, steps: int, in_dim: int,
+                 training: bool) -> dict:
         units = self.units
-        return self._pool.get(
-            (batch, steps, in_dim),
-            lambda: {
+
+        def build():
+            bufs = {
                 "hs": np.empty((steps, batch, units)),
-                "xT": np.empty((steps, batch, in_dim)),
                 "xp": np.empty((batch, steps, units)),
                 "pre": np.empty((batch, units)),
-                "whT": np.empty((units, units)),
-                "wxT": np.empty((units, in_dim)),
-                "t1": np.empty((batch, units)),
-                "t2": np.empty((batch, units)),
-                "dh_next": np.empty((batch, units)),
                 "zeros": np.zeros((batch, units)),
-                "dpres": np.empty((steps, batch, units)),
-                "acc": ones_column(
-                    np.empty((steps * batch, in_dim + 1 + units)), in_dim),
-                "accR": np.empty((in_dim + 1 + units, units)),
-                "dxf": np.empty((steps * batch, in_dim)),
-            })
+            }
+            if training:
+                bufs.update({
+                    "xT": np.empty((steps, batch, in_dim)),
+                    "whT": np.empty((units, units)),
+                    "wxT": np.empty((units, in_dim)),
+                    "t1": np.empty((batch, units)),
+                    "t2": np.empty((batch, units)),
+                    "dh_next": np.empty((batch, units)),
+                    "dpres": np.empty((steps, batch, units)),
+                    "acc": ones_column(
+                        np.empty((steps * batch, in_dim + 1 + units)),
+                        in_dim),
+                    "accR": np.empty((in_dim + 1 + units, units)),
+                    "dxf": np.empty((steps * batch, in_dim)),
+                })
+            return bufs
+
+        return self._pool.get((batch, steps, in_dim, training), build)
 
     def forward(self, inputs, training: bool = False) -> np.ndarray:
         x = self._check_single_input(inputs)
         batch, steps, in_dim = x.shape
         units = self.units
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-        bufs = self._buffers(batch, steps, in_dim)
+        bufs = self._buffers(batch, steps, in_dim, training)
         hs = bufs["hs"]
         # Input projection: the reference cell's exact batched 3-D matmul —
         # a differently shaped GEMM over the same data is not bitwise
@@ -87,9 +95,6 @@ class SimpleRNNLayer(Layer):
         xp = bufs["xp"]
         np.matmul(x, wx, out=xp)  # (B, T, units), == reference x @ wx
         xp += b
-        # Time-major input copy for the backward accumulation fill.
-        xT = bufs["xT"]
-        xT[:] = x.transpose(1, 0, 2)
         obs.counter_add("nn/fused_gemms", 1 + steps)
         h_prev = bufs["zeros"]
         pre = bufs["pre"]  # reused pre-activation buffer
@@ -97,7 +102,11 @@ class SimpleRNNLayer(Layer):
             recurrent_matmul(h_prev, wh, out=pre)
             pre += xp[:, t, :]
             h_prev = np.tanh(pre, out=hs[t])
-        self._cache = (x, hs)
+        if training:
+            # Time-major input copy for the backward accumulation fill.
+            xT = bufs["xT"]
+            xT[:] = x.transpose(1, 0, 2)
+            self._cache = (xT, hs)
         # Always a fresh copy: for singleton batch/steps the transpose
         # is already contiguous and ``ascontiguousarray`` would hand the
         # caller a *view into the pooled scratch* that the next forward
@@ -107,14 +116,11 @@ class SimpleRNNLayer(Layer):
         return out
 
     def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x, hs = self._cache
-        self._cache = None
-        batch, steps, in_dim = x.shape
+        xT, hs = self._take_cache()
+        steps, batch, in_dim = xT.shape
         units = self.units
         wx, wh = self.params["Wx"], self.params["Wh"]
-        bufs = self._buffers(batch, steps, in_dim)
+        bufs = self._buffers(batch, steps, in_dim, True)
         # Contiguous pre-transposed weights (OpenBLAS's NoTrans path
         # beats its Trans path at these sizes; within the documented
         # 1e-12 backward budget at non-BLAS shapes).
@@ -141,7 +147,7 @@ class SimpleRNNLayer(Layer):
         dpre_flat = dpres.reshape(steps * batch, units)
         acc = bufs["acc"]
         acc3 = acc.reshape(steps, batch, in_dim + 1 + units)
-        acc3[..., :in_dim] = bufs["xT"]  # filled time-major by forward
+        acc3[..., :in_dim] = xT
         acc3[0, :, in_dim + 1:] = 0.0
         acc3[1:, :, in_dim + 1:] = hs[:-1]
         R = np.matmul(acc.T, dpre_flat, out=bufs["accR"])

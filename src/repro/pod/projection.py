@@ -48,7 +48,7 @@ def reconstruct(basis: PODBasis, coefficients: np.ndarray,
     fields = basis.modes @ coeff
     if add_mean:
         # In place on the fresh product: the same IEEE adds as
-        # SnapshotStats.uncenter, without a second (N_h, n) array.
+        # ``fields + mean[:, None]``, without a second (N_h, n) array.
         fields += basis.stats.mean[:, None]
     return fields
 

@@ -18,7 +18,7 @@ __all__ = ["SnapshotStats", "center_snapshots"]
 
 @dataclass(frozen=True)
 class SnapshotStats:
-    """Mean state retained for centring/uncentring new snapshots."""
+    """Mean state retained for centring new snapshots."""
 
     mean: np.ndarray  # shape (N_h,)
 
@@ -30,14 +30,6 @@ class SnapshotStats:
                 f"snapshot dimension {snaps.shape[0]} does not match the "
                 f"mean dimension {self.mean.shape[0]}")
         return snaps - self.mean[:, None]
-
-    def uncenter(self, snapshots: np.ndarray) -> np.ndarray:
-        """Add the stored mean back onto ``(N_h, n)`` snapshot columns."""
-        snaps = np.asarray(snapshots, dtype=np.float64)
-        if snaps.ndim != 2 or snaps.shape[0] != self.mean.shape[0]:
-            raise ValueError(
-                f"expected shape ({self.mean.shape[0]}, n), got {snaps.shape}")
-        return snaps + self.mean[:, None]
 
 
 def center_snapshots(snapshots: np.ndarray) -> tuple[np.ndarray, SnapshotStats]:

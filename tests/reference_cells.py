@@ -259,14 +259,14 @@ def reference_path(*layers):
 
 
 def _oracle_forward(layer, forward, inputs, training=False):
-    y, layer._cache = forward(layer.params, layer._check_single_input(inputs))
+    y, cache = forward(layer.params, layer._check_single_input(inputs))
+    if training:
+        layer._cache = cache
     return y
 
 
 def _oracle_backward(layer, backward, grad_output):
-    if layer._cache is None:
-        raise RuntimeError("backward called before forward")
-    cache, layer._cache = layer._cache, None
+    cache = layer._take_cache()
     dx, grads = backward(layer.params, cache, grad_output)
     for name, grad in grads.items():
         layer.grads[name] += grad

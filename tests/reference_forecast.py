@@ -3,10 +3,11 @@
 ``PODLSTMEmulator`` forecasts every requested lead from one pass over a
 causal prefix of each window (:func:`repro.nn.fused.causal_steps`). This
 module keeps the path it replaced, one lead per call: transform, window,
-predict all ``K`` steps of every window, keep output position ``h - 1``,
-un-scale, and reconstruct with the mean added as a separate array. The
-lead tests in tests/test_forecast_pod_lstm.py hold the emulator to it
-byte for byte.
+predict all ``K`` steps of every window in 256-row chunks, one after
+another on the calling thread, keep output position ``h - 1``, un-scale,
+and reconstruct with the mean added as a separate array. The lead tests
+in tests/test_forecast_pod_lstm.py hold the emulator to it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ def reference_coefficient_series(emulator, snapshots, horizon: int):
     k = pipeline.window
     scaled = pipeline.transform(snapshots)
     examples = pipeline.windows(scaled)
-    preds = emulator.network.predict(
-        np.asarray(examples.inputs, dtype=np.float64), batch_size=256)
+    inputs = np.asarray(examples.inputs, dtype=np.float64)
+    preds = np.concatenate(
+        [emulator.network.forward(inputs[s:s + 256])
+         for s in range(0, len(inputs), 256)], axis=0)
     n = examples.n_examples
     times = np.arange(n) + k + (horizon - 1)
     pred_scaled = preds[:, horizon - 1, :].T

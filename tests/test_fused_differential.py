@@ -35,8 +35,8 @@ import pytest
 
 from repro.nn.detmath import batch_invariant
 from repro.nn.fused import ScratchPool
-from repro.nn.layers import (AddLayer, DenseLayer, GRULayer, LSTMLayer,
-                             SimpleRNNLayer)
+from repro.nn.layers import (ActivationLayer, AddLayer, DenseLayer,
+                             GRULayer, LSTMLayer, SimpleRNNLayer)
 from repro.nn.model import Network
 from tests.reference_cells import reference_path
 
@@ -86,7 +86,7 @@ def _layers(net):
 def _run(layer, x, grad_out, *, fused, invariant):
     """One forward+backward pass; returns (y, dx, {param: grad})."""
     with _mode(invariant), _kernels(layer, fused):
-        y = layer.forward([x])
+        y = layer.forward([x], training=True)
         layer.zero_grads()
         (dx,) = layer.backward(grad_out)
         grads = {k: v.copy() for k, v in layer.grads.items()}
@@ -94,21 +94,76 @@ def _run(layer, x, grad_out, *, fused, invariant):
 
 
 class TestForwardBitwise:
+    """Both workspaces — training (every step's history kept for
+    backward) and inference (one reused step) — run the reference's
+    arithmetic."""
+
+    @pytest.mark.parametrize("training", [True, False],
+                             ids=["training", "inference"])
     @pytest.mark.parametrize("invariant", MODES, ids=MODE_IDS)
     @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
     @pytest.mark.parametrize("cls", CELLS, ids=CELL_IDS)
-    def test_fused_forward_is_bitwise_reference(self, cls, shape, invariant):
+    def test_fused_forward_is_bitwise_reference(self, cls, shape, invariant,
+                                                training):
         layer, x, _ = _build(cls, shape)
         with _mode(invariant):
             with reference_path(layer):
                 y_ref = layer.forward([x])
-                layer._cache = None
-            y_fused = layer.forward([x])
-            layer._cache = None
+            y_fused = layer.forward([x], training=training)
         # Bit patterns, not tolerances: signed zeros, NaN payloads and
         # the last ulp all count.
         np.testing.assert_array_equal(y_ref.view(np.uint8),
                                       y_fused.view(np.uint8))
+
+
+class TestInferenceContract:
+    """Only a training forward caches what backward needs."""
+
+    LAYERS = [lambda: LSTMLayer(5), lambda: GRULayer(5),
+              lambda: SimpleRNNLayer(5), lambda: DenseLayer(5, "tanh"),
+              lambda: AddLayer("relu"), lambda: ActivationLayer("tanh")]
+    LAYER_IDS = ["lstm", "gru", "rnn", "dense", "add", "activation"]
+
+    @pytest.mark.parametrize("make", LAYERS, ids=LAYER_IDS)
+    def test_backward_after_inference_forward_raises(self, make):
+        layer = make()
+        n_inputs = 2 if isinstance(layer, AddLayer) else 1
+        layer.build(n_inputs * [5], rng=0)
+        inputs = list(np.random.default_rng(1).standard_normal(
+            (n_inputs, 2, 3, 5)))
+        grad = np.ones((2, 3, 5))
+        layer.forward(inputs)
+        assert layer._cache is None
+        with pytest.raises(RuntimeError, match="training=True"):
+            layer.backward(grad)
+        # After a full training step too: the cache is single-use and an
+        # inference forward does not refill it.
+        layer.forward(inputs, training=True)
+        layer.backward(grad)
+        layer.forward(inputs)
+        with pytest.raises(RuntimeError, match="training=True"):
+            layer.backward(grad)
+
+    @pytest.mark.parametrize("cls", CELLS, ids=CELL_IDS)
+    def test_inference_workspace_keeps_no_histories(self, cls):
+        """The inference workspace holds no (T, ...) gate, cell or
+        gradient buffers: under half the training workspace's bytes."""
+        layer, x, _ = _build(cls, (64, 16, 8, 64))
+
+        def workspace_bytes(training):
+            layer.forward([x], training=training)
+            return sum(a.nbytes for a in layer._pool._local.bufs.values())
+
+        assert 2 * workspace_bytes(False) < workspace_bytes(True)
+
+    def test_network_inference_forward_keeps_no_shapes(self):
+        net = Network(input_dim=5, rng=0)
+        net.add_node("l1", LSTMLayer(4), ["input"])
+        x = np.ones((2, 3, 5))
+        net.forward(x)
+        assert not hasattr(net, "_values_shapes")
+        net.forward(x, training=True)
+        assert net._values_shapes["input"] == (2, 3, 5)
 
 
 class TestBackwardBudget:
@@ -141,10 +196,8 @@ class TestCrossModeServing:
         batch, steps, in_dim, units = shape
         layer, x, _ = _build(cls, (1, steps, in_dim, units))
         y_plain = layer.forward([x])
-        layer._cache = None
         with batch_invariant():
             y_inv = layer.forward([x])
-            layer._cache = None
         np.testing.assert_array_equal(y_plain.view(np.uint8),
                                       y_inv.view(np.uint8))
 
@@ -161,11 +214,9 @@ class TestScratchRobustness:
             outs = []
             for x in xs:
                 outs.append(layer.forward([x]).copy())
-                layer._cache = None
             # Re-run: every stored result must still be reproduced.
             for x, want in zip(xs, outs):
                 got = layer.forward([x])
-                layer._cache = None
                 np.testing.assert_array_equal(got, want)
 
     def test_mode_flip_between_calls_is_safe(self):
@@ -213,9 +264,7 @@ class TestScratchRobustness:
             x = rng.standard_normal(shape)
             with reference_path(layer):
                 want = layer.forward([x])
-                layer._cache = None
             got = layer.forward([x])
-            layer._cache = None
             np.testing.assert_array_equal(want, got)
 
 

@@ -41,7 +41,7 @@ def check_layer_gradients(layer, inputs, rng, atol=1e-6):
     out = layer.forward(inputs)
     grad_out = rng.standard_normal(out.shape)
     layer.zero_grads()
-    layer.forward(inputs)
+    layer.forward(inputs, training=True)
     input_grads = layer.backward(grad_out)
 
     numeric = numeric_param_grads(layer, inputs, grad_out)
@@ -198,7 +198,7 @@ def probe_gradient_check(layer, inputs, rng, *, n_probes=24, eps=1e-6,
     out = layer.forward(inputs)
     grad_out = rng.standard_normal(out.shape)
     layer.zero_grads()
-    layer.forward(inputs)
+    layer.forward(inputs, training=True)
     input_grads = layer.backward(grad_out)
 
     def objective():

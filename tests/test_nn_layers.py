@@ -147,7 +147,7 @@ class TestAddLayer:
         layer = AddLayer(None)
         layer.build([2, 2], rng=0)
         a, b = rng.standard_normal((2, 1, 3, 2))
-        layer.forward([a, b])
+        layer.forward([a, b], training=True)
         grads = layer.backward(np.ones((1, 3, 2)))
         assert len(grads) == 2
         np.testing.assert_allclose(grads[0], grads[1])
