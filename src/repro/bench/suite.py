@@ -65,10 +65,8 @@ def _cell_benchmark(kind: str, batch: int, steps: int,
                     units: int) -> Benchmark:
     @contextmanager
     def make():
-        from repro.nn.layers import GRULayer, LSTMLayer, SimpleRNNLayer
-        layer_cls = {"lstm": LSTMLayer, "gru": GRULayer,
-                     "rnn": SimpleRNNLayer}[kind]
-        layer = layer_cls(units)
+        from repro.nn.layers import RECURRENT_LAYERS
+        layer = RECURRENT_LAYERS[kind](units)
         layer.build([_CELL_FEATURES], rng=0)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((batch, steps, _CELL_FEATURES))

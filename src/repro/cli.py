@@ -256,10 +256,12 @@ def search_main(argv: list[str]) -> int:
                         help="simulated wall-clock budget in seconds "
                              "(default: 3600)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="evaluation processes: omit for in-loop "
-                             "evaluation, 0 for the serial backend, N>=1 "
-                             "for a pool of N workers (identical results "
-                             "either way)")
+                        help="evaluation processes: 0 for the serial "
+                             "backend, N>=1 for a pool of N workers (0 and "
+                             "every N give identical results); omit for "
+                             "in-loop evaluation, the experiments' path, "
+                             "which draws from the node streams and gives "
+                             "different ones")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="master seed of the run (default: 0)")
     parser.add_argument("--benchmark", default=None, metavar="ARCHIVE.npz",

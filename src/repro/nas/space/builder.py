@@ -3,19 +3,10 @@
 from __future__ import annotations
 
 from repro.nas.space.search_space import Architecture, StackedLSTMSpace
-from repro.nn.layers import (
-    AddLayer,
-    DenseLayer,
-    GRULayer,
-    LSTMLayer,
-    SimpleRNNLayer,
-)
+from repro.nn.layers import RECURRENT_LAYERS, AddLayer, DenseLayer, LSTMLayer
 from repro.nn.model import Network
 
 __all__ = ["build_network", "describe_architecture"]
-
-_RECURRENT_LAYERS = {"lstm": LSTMLayer, "gru": GRULayer,
-                     "rnn": SimpleRNNLayer}
 
 
 def build_network(space: StackedLSTMSpace, arch: Architecture,
@@ -36,7 +27,7 @@ def build_network(space: StackedLSTMSpace, arch: Architecture,
         elif kind == "add":
             net.add_node(spec["name"], AddLayer("relu"), spec["inputs"])
         elif kind == "recurrent":
-            layer_cls = _RECURRENT_LAYERS[spec["kind"]]
+            layer_cls = RECURRENT_LAYERS[spec["kind"]]
             net.add_node(spec["name"], layer_cls(spec["units"]),
                          [spec["input"]])
         elif kind == "output_lstm":

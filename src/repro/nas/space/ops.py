@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.nn.layers import RECURRENT_LAYERS
+
 __all__ = ["Operation", "default_operations"]
-
-
-#: Recurrent cell kinds and their parameter-count gate multipliers
-#: (params = mult * ((in + units) * units + units)).
-RECURRENT_KINDS = {"lstm": 4, "gru": 3, "rnn": 1}
 
 
 @dataclass(frozen=True)
@@ -34,9 +31,9 @@ class Operation:
     units: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind != "identity" and self.kind not in RECURRENT_KINDS:
+        if self.kind != "identity" and self.kind not in RECURRENT_LAYERS:
             raise ValueError(f"unknown operation kind {self.kind!r}")
-        if self.kind in RECURRENT_KINDS and self.units <= 0:
+        if self.kind in RECURRENT_LAYERS and self.units <= 0:
             raise ValueError(
                 f"{self.kind} units must be positive, got {self.units}")
         if self.kind == "identity" and self.units != 0:
@@ -48,8 +45,9 @@ class Operation:
 
     @property
     def gate_multiplier(self) -> int:
-        """Parameter-count multiplier of the cell's gate block."""
-        return RECURRENT_KINDS[self.kind]
+        """Parameter-count multiplier of the cell's gate block:
+        ``params = mult * ((in + units) * units + units)``."""
+        return RECURRENT_LAYERS[self.kind].GATES
 
     def __str__(self) -> str:
         return "Identity" if self.is_identity else \

@@ -1,15 +1,17 @@
 """Shared machinery and rules of the fused recurrent kernels.
 
-The recurrent layers (:mod:`repro.nn.layers.lstm` / ``gru`` / ``rnn``)
-each run one kernel, written for the training hot path. The input
-projection ``x @ Wx + b`` for the whole sequence is hoisted out of the
-timestep loop, gate activations are evaluated in one ufunc pass per
-nonlinearity over contiguous gate blocks, per-step buffers are
-preallocated once per shape (:class:`ScratchPool`), and BPTT
-weight-gradient accumulation is cache-blocked: the sequential part of
-backward only materializes the per-step pre-activation gradients, after
-which ``dWx``/``dWh``/``db``/``dx`` each fall out of a *single* stacked
-``(T·B, ·)`` GEMM instead of ``T`` small ones.
+The recurrent layers run one kernel each, written for the training hot
+path: the skeleton :class:`~repro.nn.layers.recurrent.RecurrentLayer`
+around the cell's own step and BPTT loops (:mod:`repro.nn.layers.lstm` /
+``gru`` / ``rnn``). The input projection ``x @ Wx + b`` for the whole
+sequence is hoisted out of the timestep loop, gate activations are
+evaluated in one ufunc pass per nonlinearity over contiguous gate
+blocks, per-step buffers are preallocated once per shape
+(:class:`ScratchPool`), and BPTT weight-gradient accumulation is
+cache-blocked: the sequential part of backward only materializes the
+per-step pre-activation gradients, after which ``dWx``/``dWh``/``db``
+and ``dx`` fall out of stacked ``(T·B, ·)`` GEMMs instead of ``T``
+small ones.
 
 Training and inference run the same per-step loop. Only a
 ``training=True`` forward keeps what backward reads — every step's gate,

@@ -2,10 +2,12 @@
 
 DeepHyper represents an architecture as a directed acyclic graph of
 operations (paper Sec. III-A); ``Network`` is the executable counterpart.
-Nodes are added with explicit input wiring; ``networkx`` validates
-acyclicity and supplies the topological order. Backward traverses the
-reverse order, summing gradient contributions from every consumer of a
-node (the fan-out rule for skip connections).
+Nodes are added with explicit input wiring, and a node may only read
+nodes added before it, so the graph is acyclic by construction. The
+topological order runs generation by generation
+(:attr:`Network.topological_order`). Backward traverses the reverse
+order, summing gradient contributions from every consumer of a node (the
+fan-out rule for skip connections).
 
 Forward walks the topological order one node at a time and uses
 :meth:`Network.live_spans` — a live-variable analysis over that order —
@@ -25,7 +27,6 @@ from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.nn.detmath import batch_invariant, batch_invariant_enabled
@@ -93,8 +94,9 @@ class Network:
             raise ValueError(f"input_dim must be positive, got {input_dim}")
         self.input_dim = int(input_dim)
         self._rng = as_generator(rng)
-        self._graph = nx.DiGraph()
-        self._graph.add_node(INPUT)
+        # Consumers of each value, one entry per distinct input, in the
+        # order the consumers were added.
+        self._successors: dict[str, list[str]] = {INPUT: []}
         self._specs: dict[str, NodeSpec] = {}
         self._dims: dict[str, int] = {INPUT: self.input_dim}
         self._order: list[str] | None = None
@@ -117,11 +119,9 @@ class Network:
         layer.build(dims, self._rng)
         self._specs[name] = spec
         self._dims[name] = layer.output_dim
-        self._graph.add_node(name)
-        for src in spec.inputs:
-            self._graph.add_edge(src, name)
-        if not nx.is_directed_acyclic_graph(self._graph):  # defensive
-            raise ValueError(f"adding node {name!r} created a cycle")
+        self._successors[name] = []
+        for src in dict.fromkeys(spec.inputs):
+            self._successors[src].append(name)
         self._order = None
         self.output_name = name  # latest node is the output by default
         return name
@@ -145,9 +145,26 @@ class Network:
 
     @property
     def topological_order(self) -> list[str]:
+        """Nodes generation by generation: first the input's consumers
+        in the order they were added; then, walking each generation in
+        order, every consumer whose last distinct input it supplied.
+        Every weight list follows this order (``get_weights``, saved
+        archives, the clip norm's sum)."""
         if self._order is None:
-            order = list(nx.topological_sort(self._graph))
-            self._order = [n for n in order if n != INPUT]
+            waiting = {name: len(set(spec.inputs))
+                       for name, spec in self._specs.items()}
+            order: list[str] = []
+            generation = [INPUT]
+            while generation:
+                ready = []
+                for node in generation:
+                    for child in self._successors[node]:
+                        waiting[child] -= 1
+                        if not waiting[child]:
+                            ready.append(child)
+                order += ready
+                generation = ready
+            self._order = order
         return self._order
 
     # ------------------------------------------------------------------

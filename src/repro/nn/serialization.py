@@ -11,13 +11,12 @@ import numpy as np
 
 from repro.durable import atomic_write_npz, read_npz
 from repro.nn.layers import (
+    RECURRENT_LAYERS,
     ActivationLayer,
     AddLayer,
     DenseLayer,
-    GRULayer,
     IdentityLayer,
-    LSTMLayer,
-    SimpleRNNLayer,
+    RecurrentLayer,
 )
 from repro.nn.model import Network
 
@@ -26,13 +25,13 @@ __all__ = ["save_network", "load_network", "layer_config",
 
 
 _LAYER_CLASSES = {cls.__name__: cls for cls in
-                  (DenseLayer, LSTMLayer, GRULayer, SimpleRNNLayer,
+                  (DenseLayer, *RECURRENT_LAYERS.values(),
                    AddLayer, ActivationLayer, IdentityLayer)}
 
 
 def layer_config(layer) -> dict:
     """Constructor kwargs that recreate ``layer`` (untrained)."""
-    if isinstance(layer, (LSTMLayer, GRULayer, SimpleRNNLayer)):
+    if isinstance(layer, RecurrentLayer):
         return {"units": layer.units}
     if isinstance(layer, DenseLayer):
         return {"units": layer.units, "activation": layer.activation.name}

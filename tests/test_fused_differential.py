@@ -29,6 +29,7 @@ the engine's cross-mode bitwise test.
 
 import contextlib
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -66,8 +67,10 @@ def _mode(invariant):
 
 def _build(cls, shape, seed_salt=0):
     batch, steps, in_dim, units = shape
+    # A stable digest of the case, so a failing test id replays its
+    # inputs (``hash`` of a string is salted per process).
     rng = np.random.default_rng(
-        abs(hash((cls.__name__, shape, seed_salt))) % 2**32)
+        zlib.crc32(repr((cls.__name__, shape, seed_salt)).encode()))
     layer = cls(units)
     layer.build([in_dim], rng=rng)
     x = rng.standard_normal((batch, steps, in_dim))
