@@ -130,7 +130,7 @@ def _pod_basis_benchmark(quick: bool) -> Benchmark:
             (n_state, n_snapshots))
 
         def run():
-            fit_pod(snapshots, n_modes=5, method="snapshots")
+            fit_pod(snapshots, n_modes=5)
         yield run
 
     return Benchmark(

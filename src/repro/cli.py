@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -811,6 +812,42 @@ def serve_main(argv: list[str]) -> int:
     return 0
 
 
+#: ``repro pipeline run``'s feed flags: flag -> (FeedConfig field, type,
+#: metavar, help). The defaults live in the config classes alone.
+_FEED_FLAGS = {
+    "--degrees": ("degrees", float, "D", "grid resolution in degrees"),
+    "--feed-seed": ("seed", int, "S", "snapshot stream seed"),
+    "--batch-weeks": ("batch_weeks", int, "W",
+                      "snapshots per arriving batch"),
+    "--weeks": ("n_weeks", int, "N", "stream length; omit for an unbounded "
+                "feed (then --max-batches is required)"),
+    "--scenario": ("scenario", str, "NAME", "climate drift scenario: none, "
+                   "enso_shift or trend_acceleration"),
+    "--onset": ("scenario_onset_week", int, "WEEK", "drift onset week"),
+    "--ramp": ("scenario_ramp_weeks", int, "WEEKS", "drift ramp-in length"),
+    "--strength": ("scenario_strength", float, "X",
+                   "drift strength multiplier"),
+}
+#: ``repro pipeline run``'s retraining-protocol flags, PipelineConfig's
+#: fields in the same layout.
+_PROTOCOL_FLAGS = {
+    "--n-modes": ("n_modes", int, "N", "emulator POD rank"),
+    "--pod-rank": ("pod_rank", int, "R", "incremental factorization rank"),
+    "--window": ("window", int, "K", "forecast window length"),
+    "--retrain-every": ("retrain_every", int, "B",
+                        "batches between retrains"),
+    "--train-weeks": ("train_weeks", int, "W", "trailing training window"),
+    "--val-weeks": ("val_weeks", int, "W", "held-out validation window"),
+    "--epochs": ("epochs", int, "N", "training epochs per retrain"),
+    "--batch-size": ("batch_size", int, "N", "training batch size"),
+    "--learning-rate": ("learning_rate", float, "LR", "Adam learning rate"),
+    "--units": ("lstm_units", int, "N", "LSTM width of the retrained stack"),
+    "--seed": ("seed", int, "S", "retrain RNG stream root"),
+    "--forgetting": ("forgetting", float, "F",
+                     "incremental-POD forgetting factor in (0, 1]"),
+}
+
+
 def pipeline_main(argv: list[str]) -> int:
     """``repro pipeline`` — run or inspect the continuous-learning
     pipeline (docs/PIPELINE.md)."""
@@ -821,13 +858,16 @@ def pipeline_main(argv: list[str]) -> int:
                     "rolling window and auto-promote improvements into a "
                     "model registry (see docs/PIPELINE.md).")
     sub = parser.add_subparsers(dest="action", required=True)
+    from repro.pipeline import FeedConfig, PipelineConfig
 
     run = sub.add_parser(
         "run", help="ingest batches (resumes from --state if it exists)")
     run.add_argument("--state", required=True, metavar="PATH",
                      help="durable pipeline state artifact (.npz); if it "
-                          "already exists the pipeline RESUMES from it and "
-                          "all feed/protocol flags below are ignored")
+                          "already exists the pipeline RESUMES from it: "
+                          "feed/protocol flags left out are read from it, "
+                          "and one given with a different value than it "
+                          "records is refused")
     run.add_argument("--registry", required=True, metavar="DIR",
                      help="model registry directory receiving promotions")
     run.add_argument("--max-batches", type=int, default=None, metavar="N",
@@ -837,62 +877,19 @@ def pipeline_main(argv: list[str]) -> int:
     run.add_argument("--obs", action="store_true",
                      help="enable observability and print its summary "
                           "(includes the pipeline/* metrics)")
-    feed = run.add_argument_group("feed (fresh pipelines only)")
-    feed.add_argument("--degrees", type=float, default=12.0,
-                      help="grid resolution in degrees (default: 12)")
-    feed.add_argument("--feed-seed", type=int, default=0, metavar="S",
-                      dest="feed_seed",
-                      help="snapshot stream seed (default: 0)")
-    feed.add_argument("--batch-weeks", type=int, default=4, metavar="W",
-                      dest="batch_weeks",
-                      help="snapshots per arriving batch (default: 4)")
-    feed.add_argument("--weeks", type=int, default=None, metavar="N",
-                      help="stream length; omit for an unbounded feed "
-                           "(then --max-batches is required)")
-    feed.add_argument("--scenario", default="none",
-                      choices=("none", "enso_shift", "trend_acceleration"),
-                      help="climate drift scenario (default: none)")
-    feed.add_argument("--onset", type=int, default=430, metavar="WEEK",
-                      help="drift onset week (default: 430)")
-    feed.add_argument("--ramp", type=int, default=104, metavar="WEEKS",
-                      help="drift ramp-in length (default: 104)")
-    feed.add_argument("--strength", type=float, default=1.0,
-                      help="drift strength multiplier (default: 1.0)")
-    proto = run.add_argument_group("retraining protocol (fresh only)")
-    proto.add_argument("--n-modes", type=int, default=4, metavar="N",
-                       dest="n_modes",
-                       help="emulator POD rank (default: 4)")
-    proto.add_argument("--pod-rank", type=int, default=8, metavar="R",
-                       dest="pod_rank",
-                       help="incremental factorization rank (default: 8)")
-    proto.add_argument("--window", type=int, default=4, metavar="K",
-                       help="forecast window length (default: 4)")
-    proto.add_argument("--retrain-every", type=int, default=4, metavar="B",
-                       dest="retrain_every",
-                       help="batches between retrains (default: 4)")
-    proto.add_argument("--train-weeks", type=int, default=96, metavar="W",
-                       dest="train_weeks",
-                       help="trailing training window (default: 96)")
-    proto.add_argument("--val-weeks", type=int, default=24, metavar="W",
-                       dest="val_weeks",
-                       help="held-out validation window (default: 24)")
-    proto.add_argument("--epochs", type=int, default=2,
-                       help="training epochs per retrain (default: 2)")
-    proto.add_argument("--batch-size", type=int, default=32, metavar="N",
-                       dest="batch_size",
-                       help="training batch size (default: 32)")
-    proto.add_argument("--learning-rate", type=float, default=0.003,
-                       metavar="LR", dest="learning_rate",
-                       help="Adam learning rate (default: 0.003)")
-    proto.add_argument("--units", type=int, default=16, metavar="N",
-                       help="LSTM width of the retrained stack "
-                            "(default: 16)")
-    proto.add_argument("--seed", type=int, default=0, metavar="S",
-                       help="retrain RNG stream root (default: 0)")
-    proto.add_argument("--forgetting", type=float, default=1.0,
-                       metavar="F",
-                       help="incremental-POD forgetting factor in (0, 1] "
-                            "(default: 1.0)")
+    # Every feed/protocol flag defaults to None ("not given"), so a
+    # resume overlays only the flags actually given on the saved configs.
+    for name, title, config, flags in (
+            ("feed", "feed", FeedConfig, _FEED_FLAGS),
+            ("protocol", "retraining protocol", PipelineConfig,
+             _PROTOCOL_FLAGS)):
+        group = run.add_argument_group(title)
+        for flag, (field, kind, metavar, text) in flags.items():
+            default = getattr(config, field)
+            if default is not None:
+                text += f" (default: {default})"
+            group.add_argument(flag, type=kind, metavar=metavar, help=text,
+                               dest=f"{name}.{field}")
 
     status = sub.add_parser(
         "status", help="print stream position, counters, the registry "
@@ -908,8 +905,7 @@ def pipeline_main(argv: list[str]) -> int:
 
     from repro import obs
     from repro.durable import npz_path
-    from repro.pipeline import ContinuousPipeline, FeedConfig, \
-        PipelineConfig
+    from repro.pipeline import ContinuousPipeline, load_state
     from repro.serve.registry import ModelRegistry
 
     registry = ModelRegistry(args.registry)
@@ -929,27 +925,31 @@ def pipeline_main(argv: list[str]) -> int:
 
     if getattr(args, "obs", False):
         obs.enable()
+    def given(name: str) -> dict:
+        return {dest.split(".")[1]: value
+                for dest, value in vars(args).items()
+                if dest.startswith(f"{name}.") and value is not None}
+
+    feed, protocol = given("feed"), given("protocol")
     try:
-        feed_config = FeedConfig(
-            degrees=args.degrees, seed=args.feed_seed,
-            batch_weeks=args.batch_weeks, n_weeks=args.weeks,
-            scenario=args.scenario, scenario_onset_week=args.onset,
-            scenario_ramp_weeks=args.ramp,
-            scenario_strength=args.strength)
-        config = PipelineConfig(
-            n_modes=args.n_modes, pod_rank=args.pod_rank,
-            window=args.window, retrain_every=args.retrain_every,
-            train_weeks=args.train_weeks, val_weeks=args.val_weeks,
-            epochs=args.epochs, batch_size=args.batch_size,
-            learning_rate=args.learning_rate, lstm_units=args.units,
-            seed=args.seed, forgetting=args.forgetting)
-        if npz_path(args.state).exists():
-            pipeline = ContinuousPipeline.resume(args.state, registry)
+        resuming = npz_path(args.state).exists()
+        if resuming:
+            # The flags given are laid over the saved configs; the
+            # pipeline's resume check refuses any that differ.
+            saved = load_state(args.state)
+            feed_config = replace(FeedConfig.from_json(saved.feed_config),
+                                  **feed)
+            config = replace(
+                PipelineConfig.from_json(saved.pipeline_config), **protocol)
+        else:
+            feed_config = FeedConfig(**feed)
+            config = PipelineConfig(**protocol)
+        pipeline = ContinuousPipeline(args.state, registry, feed_config,
+                                      config)
+        if resuming:
             print(f"resuming pipeline from {args.state} "
                   f"(batch {pipeline.state.next_batch})")
         else:
-            pipeline = ContinuousPipeline(args.state, registry,
-                                          feed_config, config)
             print(f"starting fresh pipeline at {args.state}")
         decisions = pipeline.run(max_batches=args.max_batches)
     except ValueError as exc:

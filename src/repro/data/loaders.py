@@ -2,16 +2,14 @@
 
 ``SSTDataset`` is the single object the rest of the library consumes. It
 owns a :class:`~repro.data.sst.SyntheticSST` generator and the paper's
-weekly calendar, exposes the training snapshot matrix (1981-10-22 through
-1989, paper: 427 snapshots) eagerly and the much larger test period
-(1990-2018, paper: 1,487 snapshots) through chunked access so full-
-resolution runs stay within memory.
+weekly calendar, caches the training snapshot matrix (1981-10-22 through
+1989, paper: 427 snapshots) and reads any other columns, such as the
+test period (1990-2018, paper: 1,487 snapshots), on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -75,20 +73,6 @@ class SSTDataset:
     def snapshots(self, indices) -> np.ndarray:
         """Arbitrary snapshot columns, shape ``(N_h, len(indices))``."""
         return self.generator.snapshots(indices)
-
-    def test_snapshot_chunks(self, chunk: int = 128
-                             ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(indices, snapshot_block)`` over the test period.
-
-        Each block has shape ``(N_h, len(indices))``; consumers project to
-        POD space immediately so no full test matrix is ever materialized.
-        """
-        if chunk <= 0:
-            raise ValueError(f"chunk must be positive, got {chunk}")
-        idx = np.asarray(self.test_indices)
-        for start in range(0, idx.size, chunk):
-            block_idx = idx[start:start + chunk]
-            yield block_idx, self.generator.snapshots(block_idx)
 
     # -- convenience -----------------------------------------------------
     @property

@@ -3,14 +3,10 @@
 The paper (Sec. II-B): from ``Ns`` training snapshots of POD coefficients,
 "we choose every subinterval of width 2K as an example, where K snapshots
 are the input and K snapshots are the output", then randomly sample 80 %
-of examples for training and keep 20 % for validation.
-
-Note on example counts: with the paper's Ns = 427 and K = 8 a stride-1
-sliding window yields 412 examples; the paper reports 1,111, which implies
-the authors' pipeline upsampled the coefficient series in time by a factor
-of ~2.7 before windowing (1,126 - 16 + 1 = 1,111). ``upsample`` reproduces
-that preprocessing when set; the default (no upsampling) keeps the cleaner
-stride-1 construction. Either way the learning task is identical.
+of examples for training and keep 20 % for validation. Every subinterval
+is taken, so consecutive examples start one step apart: the paper's
+Ns = 427 and K = 8 give 412 examples (DESIGN.md section 1 reconciles
+this with the 1,111 the paper reports).
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from repro.utils.rng import as_generator
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["WindowedExamples", "make_windowed_examples",
-           "train_validation_split", "upsample_series"]
+           "train_validation_split"]
 
 
 @dataclass(frozen=True)
@@ -67,26 +63,10 @@ class WindowedExamples:
         return WindowedExamples(self.inputs[idx], self.outputs[idx])
 
 
-def upsample_series(coefficients: np.ndarray, factor: float) -> np.ndarray:
-    """Linearly interpolate a ``(n_features, n_time)`` series in time.
-
-    ``factor > 1`` increases temporal sampling density; used to reproduce
-    the paper's example count (see module docstring).
-    """
-    coeff = check_matrix(coefficients, name="coefficients")
-    if factor <= 0:
-        raise ValueError(f"factor must be positive, got {factor}")
-    n_time = coeff.shape[1]
-    n_new = max(2, int(round(n_time * factor)))
-    old_t = np.arange(n_time, dtype=np.float64)
-    new_t = np.linspace(0.0, n_time - 1.0, n_new)
-    return np.stack([np.interp(new_t, old_t, row) for row in coeff])
-
-
-def make_windowed_examples(coefficients: np.ndarray, window: int,
-                           *, stride: int = 1,
-                           upsample: float | None = None) -> WindowedExamples:
-    """Slide a ``2*window`` subinterval over a coefficient series.
+def make_windowed_examples(coefficients: np.ndarray,
+                           window: int) -> WindowedExamples:
+    """Slide a ``2*window`` subinterval one step at a time over a
+    coefficient series.
 
     Parameters
     ----------
@@ -96,21 +76,14 @@ def make_windowed_examples(coefficients: np.ndarray, window: int,
         :func:`repro.pod.project_coefficients`.
     window:
         K — the input length and the forecast length.
-    stride:
-        Step between consecutive subinterval starts.
-    upsample:
-        Optional temporal upsampling factor applied before windowing.
     """
     coeff = check_matrix(coefficients, name="coefficients")
     window = check_positive_int(window, name="window")
-    stride = check_positive_int(stride, name="stride")
-    if upsample is not None:
-        coeff = upsample_series(coeff, upsample)
     n_time = coeff.shape[1]
     if n_time < 2 * window:
         raise ValueError(
             f"need at least 2*window={2 * window} time steps, got {n_time}")
-    starts = np.arange(0, n_time - 2 * window + 1, stride)
+    starts = range(n_time - 2 * window + 1)
     # (time, features) layout for the sequence models.
     series = np.ascontiguousarray(coeff.T)
     inputs = np.stack([series[s:s + window] for s in starts])

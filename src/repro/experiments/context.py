@@ -95,9 +95,9 @@ class ReproductionContext:
     def test_snapshots(self) -> np.ndarray:
         """Full test-period snapshot matrix ``(N_h, n_test)``."""
         if self._test_snapshots is None:
-            blocks = [block for _, block in
-                      self.dataset.test_snapshot_chunks(256)]
-            self._test_snapshots = np.concatenate(blocks, axis=1)
+            dataset = self.dataset
+            self._test_snapshots = dataset.snapshots(
+                np.asarray(dataset.test_indices))
         return self._test_snapshots
 
     @property

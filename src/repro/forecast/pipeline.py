@@ -13,51 +13,15 @@ import numpy as np
 from repro.data.windowing import WindowedExamples, make_windowed_examples
 from repro.pod import PODBasis, fit_pod, project_coefficients, reconstruct
 from repro.pod.snapshots import SnapshotStats
-from repro.forecast.scaling import MinMaxScaler, StandardScaler
+from repro.forecast.scaling import MinMaxScaler
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["PODCoefficientPipeline"]
 
 
-def _scaler_state(scaler) -> tuple[dict, dict[str, np.ndarray]]:
-    """(JSON config, named arrays) of a fitted scaler."""
-    if isinstance(scaler, MinMaxScaler):
-        if scaler.center_ is None:
-            raise RuntimeError("scaler captured before fit")
-        return ({"class": "MinMaxScaler", "limit": scaler.limit},
-                {"scaler_center": scaler.center_,
-                 "scaler_halfrange": scaler.halfrange_})
-    if isinstance(scaler, StandardScaler):
-        if scaler.mean_ is None:
-            raise RuntimeError("scaler captured before fit")
-        return ({"class": "StandardScaler"},
-                {"scaler_mean": scaler.mean_, "scaler_scale": scaler.scale_})
-    raise TypeError(f"cannot capture scaler type {type(scaler).__name__}; "
-                    "expected MinMaxScaler or StandardScaler")
-
-
-def _scaler_from_state(config: dict, arrays) -> object:
-    """Rebuild a fitted scaler from :func:`_scaler_state` output."""
-    kind = config.get("class")
-    if kind == "MinMaxScaler":
-        scaler = MinMaxScaler(limit=float(config["limit"]))
-        scaler.center_ = np.asarray(arrays["scaler_center"],
-                                    dtype=np.float64).copy()
-        scaler.halfrange_ = np.asarray(arrays["scaler_halfrange"],
-                                       dtype=np.float64).copy()
-        return scaler
-    if kind == "StandardScaler":
-        scaler = StandardScaler()
-        scaler.mean_ = np.asarray(arrays["scaler_mean"],
-                                  dtype=np.float64).copy()
-        scaler.scale_ = np.asarray(arrays["scaler_scale"],
-                                   dtype=np.float64).copy()
-        return scaler
-    raise ValueError(f"unknown scaler class {kind!r}")
-
-
 class PODCoefficientPipeline:
-    """POD + standardization + windowing, fit on training snapshots.
+    """POD + per-mode min-max scaling into (-0.85, 0.85) + stride-1
+    windowing, fit on training snapshots.
 
     Parameters
     ----------
@@ -67,14 +31,13 @@ class PODCoefficientPipeline:
         K — input length and forecast length (paper: 8).
     """
 
-    def __init__(self, n_modes: int = 5, window: int = 8,
-                 scaler=None) -> None:
+    def __init__(self, n_modes: int = 5, window: int = 8) -> None:
         self.n_modes = check_positive_int(n_modes, name="n_modes")
         self.window = check_positive_int(window, name="window")
         self.basis: PODBasis | None = None
-        # Min-max by default: the LSTM forecast head is tanh-bounded, so
-        # training targets must live inside (-1, 1) (see scaling module).
-        self.scaler = scaler if scaler is not None else MinMaxScaler()
+        # The LSTM forecast head is tanh-bounded, so training targets
+        # must live inside (-1, 1) (see the scaling module).
+        self.scaler = MinMaxScaler()
 
     # ------------------------------------------------------------------
     def fit(self, snapshots: np.ndarray, *,
@@ -89,15 +52,15 @@ class PODCoefficientPipeline:
         """
         snaps = check_matrix(snapshots, name="snapshots")
         if basis is None:
-            self.basis = fit_pod(snaps, self.n_modes)
-        else:
-            if basis.n_modes != self.n_modes:
-                raise ValueError(
-                    f"supplied basis has {basis.n_modes} modes, "
-                    f"pipeline expects {self.n_modes}")
-            self.basis = basis
-        coeff = project_coefficients(self.basis, snaps)
-        self.scaler.fit(coeff)
+            basis = fit_pod(snaps, self.n_modes)
+        elif basis.n_modes != self.n_modes:
+            raise ValueError(
+                f"supplied basis has {basis.n_modes} modes, "
+                f"pipeline expects {self.n_modes}")
+        # The basis is kept only once the scaler fits: a fitted pipeline
+        # always has both.
+        self.scaler.fit(project_coefficients(basis, snaps))
+        self.basis = basis
         return self
 
     def _require_fit(self) -> PODBasis:
@@ -126,17 +89,15 @@ class PODCoefficientPipeline:
         return reconstruct(basis, self.scaler.inverse_transform(scaled))
 
     # ------------------------------------------------------------------
-    def windows(self, scaled_coefficients: np.ndarray, *,
-                stride: int = 1) -> WindowedExamples:
+    def windows(self, scaled_coefficients: np.ndarray) -> WindowedExamples:
         """Window a scaled ``(n_modes, n_time)`` series into K-in/K-out
-        sequence-to-sequence examples."""
-        return make_windowed_examples(scaled_coefficients, self.window,
-                                      stride=stride)
+        sequence-to-sequence examples, one per start step."""
+        return make_windowed_examples(scaled_coefficients, self.window)
 
-    def windows_from_snapshots(self, snapshots: np.ndarray, *,
-                               stride: int = 1) -> WindowedExamples:
+    def windows_from_snapshots(self, snapshots: np.ndarray
+                               ) -> WindowedExamples:
         """Convenience: snapshots -> scaled coefficients -> windows."""
-        return self.windows(self.transform(snapshots), stride=stride)
+        return self.windows(self.transform(snapshots))
 
     @property
     def energy_fraction(self) -> float:
@@ -150,18 +111,20 @@ class PODCoefficientPipeline:
         """The complete fitted state as ``(config, arrays)``.
 
         ``config`` is JSON-compatible geometry plus the scaler class and
-        its scalar parameters; ``arrays`` holds the POD basis (modes,
-        energies, removed mean) and the scaler's fitted vectors. Together
-        they reconstruct the pipeline **exactly** — every transform /
-        inverse / window of the restored pipeline is bitwise identical
+        its limit; ``arrays`` holds the POD basis (modes, energies,
+        removed mean) and the scaler's fitted vectors. Together they
+        reconstruct the pipeline **exactly** — every transform / inverse
+        / window of the restored pipeline is bitwise identical
         (round-trip tested in tests/test_forecast_pipeline.py).
         """
         basis = self._require_fit()
-        scaler_config, scaler_arrays = _scaler_state(self.scaler)
+        scaler = self.scaler
         config = {"n_modes": self.n_modes, "window": self.window,
-                  "scaler": scaler_config}
+                  "scaler": {"class": "MinMaxScaler", "limit": scaler.limit}}
         arrays = {"pod_modes": basis.modes, "pod_energies": basis.energies,
-                  "pod_mean": basis.stats.mean, **scaler_arrays}
+                  "pod_mean": basis.stats.mean,
+                  "scaler_center": scaler.center_,
+                  "scaler_halfrange": scaler.halfrange_}
         return config, arrays
 
     @classmethod
@@ -170,11 +133,21 @@ class PODCoefficientPipeline:
         """Rebuild a fitted pipeline from :meth:`fitted_state` output.
 
         ``arrays`` is any mapping of the array names to arrays (a dict or
-        an open ``npz`` archive).
+        an open ``npz`` archive). A scaler other than ``MinMaxScaler`` is
+        refused with ``ValueError``.
         """
+        kind = config["scaler"].get("class")
+        if kind != "MinMaxScaler":
+            raise ValueError(f"unknown scaler class {kind!r}; "
+                             "expected 'MinMaxScaler'")
         pipeline = cls(n_modes=int(config["n_modes"]),
-                       window=int(config["window"]),
-                       scaler=_scaler_from_state(config["scaler"], arrays))
+                       window=int(config["window"]))
+        scaler = pipeline.scaler = MinMaxScaler(
+            limit=float(config["scaler"]["limit"]))
+        scaler.center_ = np.asarray(arrays["scaler_center"],
+                                    dtype=np.float64).copy()
+        scaler.halfrange_ = np.asarray(arrays["scaler_halfrange"],
+                                       dtype=np.float64).copy()
         modes = np.asarray(arrays["pod_modes"], dtype=np.float64).copy()
         energies = np.asarray(arrays["pod_energies"],
                               dtype=np.float64).copy()

@@ -1,9 +1,10 @@
-"""Per-mode coefficient standardization.
+"""Per-mode min-max scaling of POD coefficients into (-0.85, 0.85).
 
 POD coefficient magnitudes span orders of magnitude across modes (the
-leading seasonal mode dwarfs the stochastic tail); standardizing each mode
+leading seasonal mode dwarfs the stochastic tail); scaling each mode
 before training keeps the MSE loss — and the R^2 metric — from being
-dominated by mode 1 alone, matching standard POD-LSTM practice.
+dominated by mode 1 alone, and keeps every training target inside the
+tanh-bounded range of the LSTM forecast head.
 """
 
 from __future__ import annotations
@@ -12,41 +13,7 @@ import numpy as np
 
 from repro.utils.validation import check_matrix
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
-
-
-class StandardScaler:
-    """Row-wise (per-mode) zero-mean unit-variance scaling of a
-    ``(n_modes, n_time)`` coefficient matrix."""
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, coefficients: np.ndarray) -> "StandardScaler":
-        coeff = check_matrix(coefficients, name="coefficients")
-        self.mean_ = coeff.mean(axis=1)
-        std = coeff.std(axis=1)
-        # Constant modes scale by 1 (they transform to exactly zero).
-        self.scale_ = np.where(std > 0.0, std, 1.0)
-        return self
-
-    def _check(self, coefficients: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("scaler used before fit")
-        coeff = check_matrix(coefficients, name="coefficients")
-        if coeff.shape[0] != self.mean_.shape[0]:
-            raise ValueError(
-                f"expected {self.mean_.shape[0]} modes, got {coeff.shape[0]}")
-        return coeff
-
-    def transform(self, coefficients: np.ndarray) -> np.ndarray:
-        coeff = self._check(coefficients)
-        return (coeff - self.mean_[:, None]) / self.scale_[:, None]
-
-    def inverse_transform(self, scaled: np.ndarray) -> np.ndarray:
-        coeff = self._check(scaled)
-        return coeff * self.scale_[:, None] + self.mean_[:, None]
+__all__ = ["MinMaxScaler"]
 
 
 class MinMaxScaler:

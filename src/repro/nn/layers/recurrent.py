@@ -173,8 +173,10 @@ class RecurrentLayer(Layer):
         # the t-reduction (<= 1e-12 from the reference cell).
         dz_flat = bufs["dzs"].reshape(steps * batch, self.GATES * h)
         gemms = self._accumulate(bufs, dz_flat, xT, hs, *state)
+        # One dx product per gate block (below), the accumulation's and
+        # the per-step recurrent products.
         obs.counter_add("nn/fused_bptt_gemms",
-                        1 + gemms + self.STEP_GEMMS * steps)
+                        self.GATES + gemms + self.STEP_GEMMS * steps)
         # dx per gate block: (T*B, H) @ (H, F) runs ~20% faster than the
         # wide (T*B, G*H) @ (G*H, F) at F << H (the wide GEMM is
         # bandwidth-bound on its skinny output). Reassociates the

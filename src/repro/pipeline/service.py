@@ -254,8 +254,7 @@ class ContinuousPipeline:
             self.state = PipelineState(
                 feed_config=feed_config.as_json(),
                 pipeline_config=config.as_json(),
-                next_batch=0, snapshots_ingested=0, basis_updates=0,
-                retrains=0, promotions=0, rejections=0, decisions=[],
+                next_batch=0, decisions=[],
                 pod=IncrementalPOD(config.pod_rank,
                                    forgetting=config.forgetting))
         self.feed = SnapshotFeed(feed_config)
@@ -313,13 +312,11 @@ class ContinuousPipeline:
         return made
 
     def _ingest(self, block: np.ndarray) -> None:
-        with obs.scope("pipeline/ingest"):
-            self.state.pod.partial_fit(block)
         # Batches are contiguous from week 0: the block starts at the
         # week count ingested so far.
         self._window.append((self.state.snapshots_ingested, block))
-        self.state.snapshots_ingested += block.shape[1]
-        self.state.basis_updates += 1
+        with obs.scope("pipeline/ingest"):
+            self.state.pod.partial_fit(block)
         obs.counter_add("pipeline/snapshots_ingested", block.shape[1])
         obs.counter_add("pipeline/basis_updates")
         start = self.state.snapshots_ingested - (self.config.train_weeks
@@ -375,7 +372,6 @@ class ContinuousPipeline:
                                     output_dim=cfg.n_modes, rng=rng)
         with obs.scope("pipeline/retrain"):
             emulator.fit(train_snaps, network=network, basis=basis, rng=rng)
-        self.state.retrains += 1
         obs.counter_add("pipeline/retrains")
 
         candidate_rmse = field_rmse(emulator, val_snaps)
@@ -408,10 +404,8 @@ class ContinuousPipeline:
                 }},
                 activate=True,
                 note=f"pipeline retrain {retrain_index} ({reason})")
-            self.state.promotions += 1
             obs.counter_add("pipeline/promotions")
         else:
-            self.state.rejections += 1
             obs.counter_add("pipeline/rejections")
 
         return PromotionDecision(

@@ -2,8 +2,9 @@
 
 The continuous-learning service persists its **complete** progress after
 every ingested batch through :mod:`repro.durable`: the stream cursor,
-the counters, every typed promotion decision made so far, and the exact
-:class:`~repro.pod.IncrementalPOD` factorization (float64, bitwise).
+every typed promotion decision made so far, the exact
+:class:`~repro.pod.IncrementalPOD` factorization (float64, bitwise), and
+the counters derived from the last two.
 Because the snapshot feed is replayable and the POD state round-trips
 exactly, a pipeline killed at any batch boundary and restarted from this
 file reproduces the identical promotion sequence an uninterrupted run
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.durable import atomic_write_npz, read_npz
+from repro.durable import atomic_write_npz, npz_path, read_npz
 from repro.pod.incremental import IncrementalPOD
 
 __all__ = ["STATE_FORMAT", "STATE_VERSION", "PromotionDecision",
@@ -78,20 +79,46 @@ class PromotionDecision:
                    reason=str(data["reason"]))
 
 
+#: The counters a state file's header records, each derived from the
+#: decisions and the POD it stores.
+COUNTERS = ("snapshots_ingested", "basis_updates", "retrains",
+            "promotions", "rejections")
+
+
 @dataclass
 class PipelineState:
-    """Everything a restarted pipeline needs to continue bit-identically."""
+    """Everything a restarted pipeline needs to continue bit-identically.
+
+    The counters are read from what they count, so they cannot drift
+    from it: weeks and basis updates from the POD, retrains and their
+    outcomes from the decisions.
+    """
 
     feed_config: dict           # FeedConfig.as_json()
     pipeline_config: dict       # PipelineConfig.as_json()
     next_batch: int             # first batch NOT yet ingested
-    snapshots_ingested: int
-    basis_updates: int
-    retrains: int
-    promotions: int
-    rejections: int
     decisions: list[PromotionDecision]
     pod: IncrementalPOD
+
+    @property
+    def snapshots_ingested(self) -> int:
+        return self.pod.n_seen
+
+    @property
+    def basis_updates(self) -> int:
+        return self.pod.basis_version
+
+    @property
+    def retrains(self) -> int:
+        return len(self.decisions)
+
+    @property
+    def promotions(self) -> int:
+        return sum(d.promoted for d in self.decisions)
+
+    @property
+    def rejections(self) -> int:
+        return self.retrains - self.promotions
 
 
 def save_state(path, state: PipelineState):
@@ -105,11 +132,7 @@ def save_state(path, state: PipelineState):
         "feed_config": state.feed_config,
         "pipeline_config": state.pipeline_config,
         "next_batch": state.next_batch,
-        "snapshots_ingested": state.snapshots_ingested,
-        "basis_updates": state.basis_updates,
-        "retrains": state.retrains,
-        "promotions": state.promotions,
-        "rejections": state.rejections,
+        **{name: getattr(state, name) for name in COUNTERS},
         "decisions": [d.as_json() for d in state.decisions],
         "pod": pod_config,
     }
@@ -117,19 +140,25 @@ def save_state(path, state: PipelineState):
 
 
 def load_state(path) -> PipelineState:
-    """Load a :func:`save_state` artifact back, POD arrays bitwise."""
+    """Load a :func:`save_state` artifact back, POD arrays bitwise.
+
+    A header whose counters disagree with its decisions and POD is
+    refused with ``ValueError`` naming the file.
+    """
     header, arrays = read_npz(path, key=_HEADER_KEY, fmt=STATE_FORMAT,
                               versions=(STATE_VERSION,),
                               describe="a pipeline state artifact")
-    return PipelineState(
+    state = PipelineState(
         feed_config=header["feed_config"],
         pipeline_config=header["pipeline_config"],
         next_batch=int(header["next_batch"]),
-        snapshots_ingested=int(header["snapshots_ingested"]),
-        basis_updates=int(header["basis_updates"]),
-        retrains=int(header["retrains"]),
-        promotions=int(header["promotions"]),
-        rejections=int(header["rejections"]),
         decisions=[PromotionDecision.from_json(d)
                    for d in header["decisions"]],
         pod=IncrementalPOD.from_state(header["pod"], arrays))
+    for name in COUNTERS:
+        if header.get(name) != getattr(state, name):
+            raise ValueError(
+                f"{npz_path(path)}: header {name} {header.get(name)!r} "
+                f"disagrees with the {getattr(state, name)} its decisions "
+                f"and POD give")
+    return state

@@ -7,7 +7,7 @@ basis truncation (Eq. 5), coefficient extraction (Eq. 6), reconstruction
 """
 
 from repro.pod.snapshots import SnapshotStats, center_snapshots
-from repro.pod.basis import PODBasis, fit_pod, pod_method_of_snapshots, pod_svd
+from repro.pod.basis import PODBasis, fit_pod, pod_svd
 from repro.pod.incremental import IncrementalPOD
 from repro.pod.projection import (
     cumulative_energy,
@@ -23,7 +23,6 @@ __all__ = [
     "PODBasis",
     "IncrementalPOD",
     "fit_pod",
-    "pod_method_of_snapshots",
     "pod_svd",
     "cumulative_energy",
     "modes_for_energy",

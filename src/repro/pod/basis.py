@@ -1,12 +1,11 @@
 """POD basis construction (paper Eq. 3-5).
 
-Two algebraically equivalent routes are provided:
-
-* ``pod_method_of_snapshots`` — eigendecomposition of the small
-  ``N_s x N_s`` correlation matrix ``C = S^T S`` (the paper's route;
-  efficient because ``N_s << N_h`` for geophysical archives);
-* ``pod_svd`` — thin SVD of ``S`` (numerically preferable for
-  ill-conditioned snapshot sets; used to cross-validate the first).
+There is one fitting route, :func:`fit_pod`: the method of snapshots,
+an eigendecomposition of the small ``N_s x N_s`` correlation matrix
+``C = S^T S`` (the paper's route; efficient because ``N_s << N_h`` for
+geophysical archives). :func:`pod_svd`, a thin SVD of ``S``, is the
+algebraically equivalent reference the tests hold it (and
+:class:`~repro.pod.IncrementalPOD`) to.
 
 Notation: the eigenvalues of ``C`` equal the squared singular values of
 ``S``; the mode-``i`` "energy" is that eigenvalue. The paper's Eq. 8
@@ -25,7 +24,7 @@ from scipy import linalg as sla
 from repro.pod.snapshots import SnapshotStats, center_snapshots
 from repro.utils.validation import check_matrix, check_positive_int
 
-__all__ = ["PODBasis", "pod_method_of_snapshots", "pod_svd", "fit_pod"]
+__all__ = ["PODBasis", "fit_pod", "pod_svd"]
 
 #: Relative eigenvalue floor below which trailing modes are treated as
 #: numerical noise and excluded from the basis.
@@ -107,11 +106,17 @@ def _truncation_rank(energies: np.ndarray, n_modes: int | None) -> int:
     return min(check_positive_int(n_modes, name="n_modes"), rank)
 
 
-def pod_method_of_snapshots(snapshots: np.ndarray,
-                            n_modes: int | None = None) -> PODBasis:
+def fit_pod(snapshots: np.ndarray, n_modes: int | None = None) -> PODBasis:
     """POD via the ``N_s x N_s`` correlation eigenproblem (paper Eq. 3-4).
 
     Orthonormal modes are obtained as ``psi_i = S w_i / sqrt(lambda_i)``.
+
+    Parameters
+    ----------
+    snapshots:
+        ``(N_h, N_s)`` snapshot matrix (not yet centered).
+    n_modes:
+        ``N_r``; ``None`` retains the full numerical rank.
     """
     snaps = check_matrix(snapshots, name="snapshots")
     centered, stats = center_snapshots(snaps)
@@ -143,7 +148,8 @@ def pod_method_of_snapshots(snapshots: np.ndarray,
 
 
 def pod_svd(snapshots: np.ndarray, n_modes: int | None = None) -> PODBasis:
-    """POD via thin SVD of the centered snapshot matrix."""
+    """POD via thin SVD of the centered snapshot matrix (the reference
+    :func:`fit_pod` is tested against)."""
     snaps = check_matrix(snapshots, name="snapshots")
     centered, stats = center_snapshots(snaps)
     u, s, _ = sla.svd(centered, full_matrices=False)
@@ -151,24 +157,3 @@ def pod_svd(snapshots: np.ndarray, n_modes: int | None = None) -> PODBasis:
     n_r = _truncation_rank(energies, n_modes)
     return PODBasis(modes=np.ascontiguousarray(u[:, :n_r]),
                     energies=energies, stats=stats)
-
-
-def fit_pod(snapshots: np.ndarray, n_modes: int | None = None,
-            *, method: str = "snapshots") -> PODBasis:
-    """Fit a POD basis with the selected algorithm.
-
-    Parameters
-    ----------
-    snapshots:
-        ``(N_h, N_s)`` snapshot matrix (not yet centered).
-    n_modes:
-        ``N_r``; ``None`` retains the full numerical rank.
-    method:
-        ``"snapshots"`` (paper's method of snapshots) or ``"svd"``.
-    """
-    if method == "snapshots":
-        return pod_method_of_snapshots(snapshots, n_modes)
-    if method == "svd":
-        return pod_svd(snapshots, n_modes)
-    raise ValueError(f"unknown POD method {method!r}; "
-                     "expected 'snapshots' or 'svd'")

@@ -16,40 +16,25 @@ __all__ = [
 ]
 
 
-def project_coefficients(basis: PODBasis, snapshots: np.ndarray,
-                         *, centered: bool = False) -> np.ndarray:
-    """Coefficients ``A = psi^T q_hat`` of shape ``(N_r, n)`` (Eq. 6).
-
-    Parameters
-    ----------
-    snapshots:
-        ``(N_h, n)`` raw snapshots; the basis mean is removed first unless
-        ``centered=True``.
-    """
-    if not centered:
-        # center() validates its input: one finiteness pass, not two.
-        return basis.modes.T @ basis.stats.center(snapshots)
-    snaps = check_matrix(snapshots, name="snapshots")
-    if snaps.shape[0] != basis.state_dim:
-        raise ValueError(
-            f"snapshot dimension {snaps.shape[0]} does not match basis "
-            f"dimension {basis.state_dim}")
-    return basis.modes.T @ snaps
+def project_coefficients(basis: PODBasis,
+                         snapshots: np.ndarray) -> np.ndarray:
+    """Coefficients ``A = psi^T q_hat`` of shape ``(N_r, n)`` (Eq. 6) of
+    ``(N_h, n)`` raw snapshots, the basis mean removed first."""
+    # center() validates its input: one finiteness pass, not two.
+    return basis.modes.T @ basis.stats.center(snapshots)
 
 
-def reconstruct(basis: PODBasis, coefficients: np.ndarray,
-                *, add_mean: bool = True) -> np.ndarray:
-    """Approximate snapshots ``psi A (+ mean)`` of shape ``(N_h, n)`` (Eq. 7)."""
+def reconstruct(basis: PODBasis, coefficients: np.ndarray) -> np.ndarray:
+    """Approximate snapshots ``psi A + mean`` of shape ``(N_h, n)`` (Eq. 7)."""
     coeff = check_matrix(coefficients, name="coefficients")
     if coeff.shape[0] != basis.n_modes:
         raise ValueError(
             f"coefficient rows {coeff.shape[0]} do not match basis size "
             f"{basis.n_modes}")
     fields = basis.modes @ coeff
-    if add_mean:
-        # In place on the fresh product: the same IEEE adds as
-        # ``fields + mean[:, None]``, without a second (N_h, n) array.
-        fields += basis.stats.mean[:, None]
+    # In place on the fresh product: the same IEEE adds as
+    # ``fields + mean[:, None]``, without a second (N_h, n) array.
+    fields += basis.stats.mean[:, None]
     return fields
 
 

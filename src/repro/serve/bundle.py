@@ -17,7 +17,8 @@ Schema (``__bundle__`` JSON header)::
     {"format": "repro-emulator-bundle", "version": 1,
      "train_fraction": float,
      "network":  {...network_spec...},          # weights in net_w{i}
-     "pipeline": {"n_modes", "window", "scaler": {...}},  # arrays pod_*/scaler_*
+     "pipeline": {"n_modes", "window",          # arrays pod_*, scaler_*
+                  "scaler": {"class": "MinMaxScaler", "limit"}},
      "metadata": {...}}                          # free-form provenance
 
 Unknown formats and schema versions are rejected on load — a newer
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.durable import atomic_write_npz, read_npz
+from repro.durable import atomic_write_npz, npz_path, read_npz
 from repro.forecast.pipeline import PODCoefficientPipeline
 from repro.forecast.pod_lstm import PODLSTMEmulator
 from repro.nn.serialization import network_from_spec, network_spec
@@ -85,8 +86,11 @@ def load_bundle(path) -> PODLSTMEmulator:
     header, arrays = _read(path)
     n_weights = sum(1 for name in arrays if name.startswith("net_w"))
     weights = [arrays[f"net_w{i}"] for i in range(n_weights)]
-    pipeline = PODCoefficientPipeline.from_fitted_state(header["pipeline"],
-                                                        arrays)
+    try:
+        pipeline = PODCoefficientPipeline.from_fitted_state(
+            header["pipeline"], arrays)
+    except ValueError as exc:  # e.g. a scaler other than MinMaxScaler
+        raise ValueError(f"{npz_path(path)}: {exc}") from exc
     network = network_from_spec(header["network"], weights,
                                 source=str(path))
     return PODLSTMEmulator.from_artifacts(

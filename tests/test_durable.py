@@ -44,8 +44,7 @@ def _pipeline_state(tmp_path, request):
     state = PipelineState(
         feed_config=FeedConfig().as_json(),
         pipeline_config=PipelineConfig().as_json(), next_batch=1,
-        snapshots_ingested=6, basis_updates=1, retrains=0, promotions=0,
-        rejections=0, decisions=[], pod=pod)
+        decisions=[], pod=pod)
     return save_state(tmp_path / "pipe.state", state)
 
 

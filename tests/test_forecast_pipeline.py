@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.forecast import PODCoefficientPipeline
-from repro.forecast.scaling import StandardScaler
 
 
 class TestPipeline:
@@ -47,12 +46,6 @@ class TestPipeline:
         with pytest.raises(RuntimeError):
             pipe.transform(train_snapshots)
 
-    def test_custom_scaler(self, train_snapshots):
-        pipe = PODCoefficientPipeline(n_modes=3, scaler=StandardScaler())
-        pipe.fit(train_snapshots)
-        scaled = pipe.transform(train_snapshots)
-        np.testing.assert_allclose(scaled.std(axis=1), 1.0, atol=1e-9)
-
     def test_consistent_across_fits(self, train_snapshots):
         a = PODCoefficientPipeline(n_modes=3).fit(train_snapshots)
         b = PODCoefficientPipeline(n_modes=3).fit(train_snapshots)
@@ -92,17 +85,6 @@ class TestFittedState:
                                       fitted.inverse(scaled))
         np.testing.assert_array_equal(restored.reconstruct(scaled),
                                       fitted.reconstruct(scaled))
-
-    def test_standard_scaler_round_trip(self, train_snapshots):
-        pipe = PODCoefficientPipeline(n_modes=3, window=4,
-                                      scaler=StandardScaler()).fit(
-            train_snapshots)
-        config, arrays = pipe.fitted_state()
-        assert config["scaler"]["class"] == "StandardScaler"
-        restored = PODCoefficientPipeline.from_fitted_state(config, arrays)
-        assert isinstance(restored.scaler, StandardScaler)
-        np.testing.assert_array_equal(restored.transform(train_snapshots),
-                                      pipe.transform(train_snapshots))
 
     def test_state_is_decoupled_copy(self, fitted, train_snapshots):
         config, arrays = fitted.fitted_state()

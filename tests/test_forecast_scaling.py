@@ -3,50 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.forecast.scaling import MinMaxScaler, StandardScaler
+from repro.forecast.scaling import MinMaxScaler
 
 coeff_matrices = hnp.arrays(
     dtype=np.float64,
     shape=st.tuples(st.integers(1, 5), st.integers(3, 20)),
     elements=st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
 )
-
-
-class TestStandardScaler:
-    def test_zero_mean_unit_var(self, rng):
-        coeff = rng.standard_normal((3, 50)) * np.array([[10.], [1.], [0.1]])
-        scaled = StandardScaler().fit(coeff).transform(coeff)
-        np.testing.assert_allclose(scaled.mean(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(scaled.std(axis=1), 1.0, atol=1e-12)
-
-    def test_roundtrip(self, rng):
-        coeff = rng.standard_normal((4, 30))
-        scaler = StandardScaler().fit(coeff)
-        np.testing.assert_allclose(
-            scaler.inverse_transform(scaler.transform(coeff)), coeff,
-            atol=1e-12)
-
-    def test_constant_mode(self):
-        coeff = np.vstack([np.ones(10), np.arange(10.0)])
-        scaler = StandardScaler().fit(coeff)
-        scaled = scaler.transform(coeff)
-        np.testing.assert_allclose(scaled[0], 0.0)
-
-    def test_use_before_fit(self):
-        with pytest.raises(RuntimeError):
-            StandardScaler().transform(np.ones((2, 3)))
-
-    def test_mode_count_check(self, rng):
-        scaler = StandardScaler().fit(rng.standard_normal((3, 10)))
-        with pytest.raises(ValueError):
-            scaler.transform(rng.standard_normal((4, 10)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(coeff=coeff_matrices)
-    def test_roundtrip_property(self, coeff):
-        scaler = StandardScaler().fit(coeff)
-        back = scaler.inverse_transform(scaler.transform(coeff))
-        np.testing.assert_allclose(back, coeff, atol=1e-6, rtol=1e-6)
 
 
 class TestMinMaxScaler:

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from repro.data import SSTDataset, WeeklyCalendar, load_sst_dataset
 
@@ -18,27 +17,9 @@ class TestSSTDataset:
         b = tiny_dataset.training_snapshots()
         assert a is b
 
-    def test_test_chunks_cover_test_period(self, split_dataset):
-        total = 0
-        seen = []
-        for idx, block in split_dataset.test_snapshot_chunks(16):
-            assert block.shape == (split_dataset.n_ocean, idx.size)
-            total += idx.size
-            seen.extend(idx.tolist())
-        assert total == split_dataset.n_test
-        assert seen == list(split_dataset.test_indices)
-
     def test_split_dataset_has_both_periods(self, split_dataset):
         assert split_dataset.n_train == 427
         assert split_dataset.n_test == 480 - 427
-
-    def test_chunks_match_direct_generation(self, split_dataset):
-        idx, block = next(iter(split_dataset.test_snapshot_chunks(8)))
-        np.testing.assert_allclose(block, split_dataset.snapshots(idx))
-
-    def test_bad_chunk_size(self, split_dataset):
-        with pytest.raises(ValueError):
-            next(iter(split_dataset.test_snapshot_chunks(0)))
 
     def test_indices_are_disjoint(self, tiny_dataset):
         train = set(tiny_dataset.train_indices)

@@ -306,3 +306,33 @@ class TestZeroBehaviourChangeGuard:
         for wa, wb in zip(weights_a, weights_b, strict=True):
             np.testing.assert_array_equal(wa, wb)
         assert history_a.train_loss == history_b.train_loss
+
+
+class TestRecurrentGemmCounts:
+    """``nn/fused_bptt_gemms`` counts every product one backward issues:
+    the ``np.matmul`` calls, plus the GRU's two ``@`` products of its
+    split ``dWh`` accumulation."""
+
+    @pytest.mark.parametrize("steps", [5, 9])
+    @pytest.mark.parametrize("cell, expected, at_products", [
+        ("LSTMLayer", lambda t: 5 + t, 0),
+        ("GRULayer", lambda t: 6 + 2 * t, 2),
+        ("SimpleRNNLayer", lambda t: 2 + t, 0),
+    ], ids=["lstm", "gru", "rnn"])
+    def test_backward_counter_equals_products(self, monkeypatch, cell,
+                                              expected, at_products, steps):
+        from repro.nn import layers
+        layer = getattr(layers, cell)(4)
+        layer.build([3], rng=0)
+        rng = np.random.default_rng(0)
+        layer.forward([rng.standard_normal((3, steps, 3))], training=True)
+        grad = rng.standard_normal((3, steps, 4))
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        obs.enable()
+        layer.backward(grad)
+        monkeypatch.undo()
+        count = obs.get_registry().counters["nn/fused_bptt_gemms"].value
+        assert count == len(calls) + at_products == expected(steps)

@@ -126,6 +126,44 @@ class TestPipelineConfig:
         assert not list(tmp_path.glob("S*"))
 
 
+class TestCliResume:
+    """``repro pipeline run`` on an existing state compares the feed and
+    protocol flags it is given with the saved ones."""
+
+    FLAGS = ["--weeks", "60", "--batch-weeks", "6", "--n-modes", "3",
+             "--pod-rank", "6", "--train-weeks", "36", "--val-weeks", "12",
+             "--epochs", "1", "--units", "8", "--max-batches", "1"]
+
+    @staticmethod
+    def run(tmp_path, *flags) -> int:
+        from repro.cli import pipeline_main
+        return pipeline_main(["run", "--state", str(tmp_path / "S"),
+                              "--registry", str(tmp_path / "R"), *flags])
+
+    @pytest.mark.parametrize("changed", [["--epochs", "3"],
+                                         ["--degrees", "20"]],
+                             ids=["protocol", "feed"])
+    def test_changed_flag_refused_state_untouched(self, tmp_path, capsys,
+                                                  changed):
+        assert self.run(tmp_path, *self.FLAGS) == 0
+        state = tmp_path / "S.npz"
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert self.run(tmp_path, *changed) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {state}: saved ")
+        assert "different experiment" in err
+        assert state.read_bytes() == before
+
+    def test_identical_rerun_resumes(self, tmp_path, capsys):
+        assert self.run(tmp_path, *self.FLAGS) == 0
+        assert self.run(tmp_path, *self.FLAGS) == 0
+        assert "resuming pipeline" in capsys.readouterr().out
+        state = load_state(tmp_path / "S.npz")
+        assert state.next_batch == 2
+        assert PipelineConfig.from_json(state.pipeline_config).epochs == 1
+
+
 @pytest.fixture()
 def registry(tmp_path):
     return ModelRegistry(tmp_path / "reg")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.pod import fit_pod, pod_method_of_snapshots, pod_svd
+from repro.pod import fit_pod, pod_svd
 
 
 @pytest.fixture()
@@ -17,7 +17,7 @@ def snapshots(rng):
 
 class TestOrthonormality:
     def test_method_of_snapshots(self, snapshots):
-        basis = pod_method_of_snapshots(snapshots, 5)
+        basis = fit_pod(snapshots, 5)
         gram = basis.modes.T @ basis.modes
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
 
@@ -29,7 +29,7 @@ class TestOrthonormality:
 
 class TestEquivalence:
     def test_methods_agree_up_to_sign(self, snapshots):
-        a = pod_method_of_snapshots(snapshots, 4)
+        a = fit_pod(snapshots, 4)
         b = pod_svd(snapshots, 4)
         np.testing.assert_allclose(a.energies[:4], b.energies[:4],
                                    rtol=1e-8)
@@ -74,15 +74,6 @@ class TestTruncation:
 
 
 class TestDispatchAndValidation:
-    def test_unknown_method(self, snapshots):
-        with pytest.raises(ValueError, match="unknown POD method"):
-            fit_pod(snapshots, 2, method="qr")
-
-    def test_method_dispatch(self, snapshots):
-        a = fit_pod(snapshots, 2, method="svd")
-        b = pod_svd(snapshots, 2)
-        np.testing.assert_allclose(a.modes, b.modes)
-
     def test_nan_rejected(self):
         bad = np.ones((5, 4))
         bad[0, 0] = np.nan

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.pod import fit_pod
+from repro.pod import fit_pod, pod_svd
 from repro.pod.incremental import IncrementalPOD
 
 
@@ -25,7 +25,7 @@ def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
 class TestIncrementalPOD:
     def test_single_block_matches_batch(self, snapshots):
         inc = IncrementalPOD(n_modes=4).partial_fit(snapshots)
-        batch = fit_pod(snapshots, 4, method="svd")
+        batch = pod_svd(snapshots, 4)
         np.testing.assert_allclose(inc.mean_, batch.stats.mean, atol=1e-10)
         assert subspace_angle(inc.basis().modes, batch.modes) < 1e-6
 
@@ -33,7 +33,7 @@ class TestIncrementalPOD:
         inc = IncrementalPOD(n_modes=8)
         for start in range(0, 90, 15):
             inc.partial_fit(snapshots[:, start:start + 15])
-        batch = fit_pod(snapshots, 3, method="svd")
+        batch = pod_svd(snapshots, 3)
         assert inc.n_seen == 90
         np.testing.assert_allclose(inc.mean_, batch.stats.mean, atol=1e-8)
         # The retained subspace contains the batch-leading 3 modes.
@@ -44,7 +44,7 @@ class TestIncrementalPOD:
         inc = IncrementalPOD(n_modes=8)
         for start in range(0, 90, 30):
             inc.partial_fit(snapshots[:, start:start + 30])
-        batch = fit_pod(snapshots, 8, method="svd")
+        batch = pod_svd(snapshots, 8)
         np.testing.assert_allclose(inc.energies[:3], batch.energies[:3],
                                    rtol=0.02)
 

@@ -32,55 +32,33 @@ class TestProjectReconstruct:
         np.testing.assert_allclose(reconstruct(basis, coeff), snapshots,
                                    atol=1e-8)
 
-    def test_reconstruction_without_mean(self, snapshots):
-        basis = fit_pod(snapshots, 2)
-        coeff = project_coefficients(basis, snapshots)
-        with_mean = reconstruct(basis, coeff)
-        without = reconstruct(basis, coeff, add_mean=False)
-        np.testing.assert_allclose(with_mean - without,
-                                   np.tile(basis.stats.mean[:, None],
-                                           (1, 30)))
-
-    def test_centered_flag(self, snapshots):
-        basis = fit_pod(snapshots, 2)
-        centered = basis.stats.center(snapshots)
-        a = project_coefficients(basis, snapshots)
-        b = project_coefficients(basis, centered, centered=True)
-        np.testing.assert_allclose(a, b)
-
     def test_coefficient_rows_mismatch(self, snapshots):
         basis = fit_pod(snapshots, 2)
         with pytest.raises(ValueError):
             reconstruct(basis, np.zeros((3, 5)))
 
-    @pytest.mark.parametrize("centered", [False, True])
-    def test_snapshots_validated_once(self, snapshots, centered,
-                                      monkeypatch):
+    def test_snapshots_validated_once(self, snapshots, monkeypatch):
         """One finiteness pass per projection, same coefficients."""
         basis = fit_pod(snapshots, 2)
-        centered_snaps = snapshots - basis.stats.mean[:, None]
-        expected = basis.modes.T @ centered_snaps
+        expected = basis.modes.T @ (snapshots - basis.stats.mean[:, None])
         checked = []
         check_array = validation.check_array
         monkeypatch.setattr(
             validation, "check_array",
             lambda x, **kw: checked.append(kw["name"]) or check_array(x, **kw))
-        coeff = project_coefficients(
-            basis, centered_snaps if centered else snapshots,
-            centered=centered)
+        coeff = project_coefficients(basis, snapshots)
         assert checked == ["snapshots"]
         assert coeff.tobytes() == expected.tobytes()
         checked.clear()
         projection_error(basis, snapshots)
         assert checked == ["snapshots"]
 
-    @pytest.mark.parametrize("centered", [False, True])
-    def test_non_finite_snapshots_refused(self, snapshots, centered):
+    def test_non_finite_snapshots_refused(self, snapshots):
         basis = fit_pod(snapshots, 2)
         snapshots[3, 4] = np.nan
         with pytest.raises(ValueError,
                            match="^snapshots contains non-finite values$"):
-            project_coefficients(basis, snapshots, centered=centered)
+            project_coefficients(basis, snapshots)
 
     def test_projection_is_idempotent(self, snapshots):
         basis = fit_pod(snapshots, 2)

@@ -6,7 +6,6 @@ from repro.data.windowing import (
     WindowedExamples,
     make_windowed_examples,
     train_validation_split,
-    upsample_series,
 )
 
 
@@ -42,12 +41,6 @@ class TestMakeWindowedExamples:
         np.testing.assert_allclose(ex.outputs[:, 0, 0],
                                    ex.inputs[:, -1, 0] + 1.0)
 
-    def test_stride(self):
-        ex = make_windowed_examples(_ramp_series(n_time=30), window=4,
-                                    stride=3)
-        assert ex.n_examples == len(range(0, 30 - 8 + 1, 3))
-        np.testing.assert_allclose(ex.inputs[1, 0, 0], 3.0)
-
     def test_too_short_series(self):
         with pytest.raises(ValueError, match="at least"):
             make_windowed_examples(_ramp_series(n_time=7), window=4)
@@ -55,34 +48,6 @@ class TestMakeWindowedExamples:
     def test_exactly_one_window(self):
         ex = make_windowed_examples(_ramp_series(n_time=8), window=4)
         assert ex.n_examples == 1
-
-    def test_upsample_reproduces_paper_example_count(self):
-        coeff = np.zeros((5, 427))
-        coeff[0] = np.sin(np.arange(427) / 5.0)
-        ex = make_windowed_examples(coeff, window=8, upsample=1126 / 427)
-        # Paper reports 1,111 examples.
-        assert abs(ex.n_examples - 1111) <= 2
-
-
-class TestUpsampleSeries:
-    def test_length(self):
-        out = upsample_series(_ramp_series(n_time=10), 2.0)
-        assert out.shape == (2, 20)
-
-    def test_endpoint_preserved(self):
-        series = _ramp_series(n_time=10)
-        out = upsample_series(series, 2.0)
-        np.testing.assert_allclose(out[:, 0], series[:, 0])
-        np.testing.assert_allclose(out[:, -1], series[:, -1])
-
-    def test_linear_series_exact(self):
-        out = upsample_series(_ramp_series(n_time=10), 3.0)
-        # linear interpolation of a ramp stays a ramp
-        assert np.allclose(np.diff(out[0]), np.diff(out[0])[0])
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            upsample_series(_ramp_series(), 0.0)
 
 
 class TestWindowedExamples:
@@ -153,16 +118,18 @@ class TestTrainValidationSplit:
 
 class TestWindowingProperties:
     @settings(max_examples=25, deadline=None)
-    @given(n_time=st.integers(16, 60), window=st.integers(1, 8),
-           stride=st.integers(1, 4))
-    def test_reconstruction_property(self, n_time, window, stride):
-        """Every input/output window is an exact slice of the series."""
+    @given(n_time=st.integers(16, 60), window=st.integers(1, 8))
+    def test_reconstruction_property(self, n_time, window):
+        """Every input/output window is an exact slice of the series,
+        one per start step."""
         if n_time < 2 * window:
             return
         series = _ramp_series(n_modes=1, n_time=n_time)
-        ex = make_windowed_examples(series, window=window, stride=stride)
+        ex = make_windowed_examples(series, window=window)
+        assert ex.n_examples == n_time - 2 * window + 1
         for k in range(ex.n_examples):
             s = int(ex.inputs[k, 0, 0])
+            assert s == k
             np.testing.assert_allclose(ex.inputs[k, :, 0],
                                        np.arange(s, s + window))
             np.testing.assert_allclose(ex.outputs[k, :, 0],
